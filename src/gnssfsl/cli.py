@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -299,7 +300,16 @@ def _append_stage(run_dir: Path, entry: dict) -> None:
     entry["prev_hash"] = prev
     entry["hash"] = _hash_text(_canonical({k: v for k, v in entry.items() if k != "hash"}))
     manifest["stages"].append(entry)
-    _manifest_path(run_dir).write_text(json.dumps(manifest, indent=1) + "\n")
+    # Write beside the manifest, then rename over it: a failed write leaves
+    # the previous manifest intact.
+    path = _manifest_path(run_dir)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(manifest, indent=1) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _find_stage(run_dir: Path, stage: str) -> dict | None:
@@ -493,8 +503,13 @@ def cmd_mine(args) -> None:
     )
     val = corpus.subset(split="val", classes=set(train_classes))
     remap = {c: i for i, c in enumerate(train_classes)}
-    pairs = [(r.image.pixels, remap[r.label]) for r in val.records]
-    sim_map = fsl.build_similarity_map(ensemble, pairs, quantile=args.quantile)
+    images = [r.image.pixels for r in val.records]
+    # One forward pass per member; the map and the CSV share its decomposition.
+    member_probs = np.stack([uncertainty.predict_member(m, images) for m in ensemble.members])
+    report = uncertainty.decompose_uncertainty(member_probs)
+    sim_map = fsl.build_similarity_map(
+        report, [remap[r.label] for r in val.records], quantile=args.quantile
+    )
     # Map head-index classes back to corpus labels.
     inverse = {i: c for c, i in remap.items()}
     sim_map = SimilarityMap(
@@ -504,17 +519,13 @@ def cmd_mine(args) -> None:
 
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
-    images = [r.image.pixels for r in val.records]
-    reps = uncertainty.ensemble_reports(ensemble, images)
-    member_probs = np.stack([uncertainty.predict_member(m, images) for m in ensemble.members])
-    mean_probs = member_probs.mean(axis=0)
-    predicted = [inverse[int(np.argmax(p))] for p in mean_probs]
+    predicted = [inverse[int(i)] for i in np.argmax(report.mean_softmax, axis=1)]
     uncertainty.write_uncertainty_csv(
         reports / "uncertainty.csv",
         [r.file for r in val.records],
         [r.label for r in val.records],
         predicted,
-        reps,
+        report,
     )
     _append_stage(
         run_dir,
@@ -531,28 +542,24 @@ def cmd_mine(args) -> None:
     print(f"similarity map written to {run_dir / 'similarity_map.json'}")
 
 
-def adaptation_report(
-    net,
-    corpus: spectro.LabeledCorpus,
-    adaptation_classes,
-    k: int,
-    per_class_base: int = 20,
-    query_splits=("val", "test"),
-):
-    """Few-shot scoring of the held-out classes: adapt, classify, summarize.
+def _classifier(net, corpus: spectro.LabeledCorpus, adaptation_classes, k: int):
+    """Prototypes of the base classes (20 train images each) plus k-shot
+    prototypes of the adaptation classes; the backbone never updates."""
+    base_classes = sorted(set(corpus.classes()) - set(adaptation_classes))
+    base = fsl.compute_prototypes(net, fsl.base_support(corpus, base_classes))
+    support = fsl.adaptation_support(corpus, adaptation_classes, k)
+    return fsl.adapt(net, support, k, base=base)
 
-    Returns (macro accuracy, macro F2, confusion matrix) over queries drawn
-    from the given splits of the adaptation classes.
+
+def _adaptation_scores(classifier, corpus: spectro.LabeledCorpus, adaptation_classes):
+    """(macro accuracy, macro F2, confusion matrix) over the adaptation classes.
+
+    Queries are the val+test images of the adaptation classes, each classified
+    nearest-prototype among all prototypes, base classes included.
     """
     adaptation_classes = sorted(adaptation_classes)
-    base_classes = sorted(set(corpus.classes()) - set(adaptation_classes))
-    base = fsl.compute_prototypes(
-        net, fsl.base_support(corpus, base_classes, per_class=per_class_base)
-    )
-    support = fsl.adaptation_support(corpus, adaptation_classes, k)
-    classifier = fsl.adapt(net, support, k, base=base)
     queries, truth = [], []
-    for split in query_splits:
+    for split in ("val", "test"):
         sub = corpus.subset(split=split, classes=set(adaptation_classes))
         queries += [r.image.pixels for r in sub.records]
         truth += [r.label for r in sub.records]
@@ -565,14 +572,17 @@ def adaptation_report(
     )
 
 
-def _build_classifier(run_dir: Path, config: TrainConfig, name: str) -> fsl.PrototypeClassifier:
-    corpus = _load_run_corpus(run_dir)
+def adaptation_report(net, corpus: spectro.LabeledCorpus, adaptation_classes, k: int):
+    """Few-shot scoring of the held-out classes: adapt with k shots, classify,
+    summarize. Returns (adaptation_macro_accuracy, adaptation_macro_f2,
+    confusion matrix), the numbers `eval` and `sweep` report."""
+    classifier = _classifier(net, corpus, adaptation_classes, k)
+    return _adaptation_scores(classifier, corpus, adaptation_classes)
+
+
+def _load_net(run_dir: Path, name: str) -> nncore.EmbeddingNetwork:
     ckpt = _require(run_dir / "checkpoints" / f"{name}.gnssnet", f"checkpoint {name!r}")
-    net = nncore.load_checkpoint(ckpt)
-    base_classes = sorted(set(corpus.classes()) - set(config.adaptation_classes))
-    base = fsl.compute_prototypes(net, fsl.base_support(corpus, base_classes))
-    support = fsl.adaptation_support(corpus, config.adaptation_classes, config.k_shot)
-    return fsl.adapt(net, support, config.k_shot, base=base)
+    return nncore.load_checkpoint(ckpt)
 
 
 def _save_prototypes(classifier: fsl.PrototypeClassifier, path: Path) -> None:
@@ -588,7 +598,9 @@ def cmd_adapt(args) -> None:
     name = args.name or "ce"
     _check_identity(run_dir, name, config, args.force)
     t0 = time.perf_counter()
-    classifier = _build_classifier(run_dir, config, name)
+    corpus = _load_run_corpus(run_dir)
+    net = _load_net(run_dir, name)
+    classifier = _classifier(net, corpus, config.adaptation_classes, config.k_shot)
     out = run_dir / "checkpoints" / f"{name}_prototypes.json"
     _save_prototypes(classifier, out)
     _append_stage(
@@ -610,19 +622,16 @@ def cmd_eval(args) -> None:
     _check_identity(run_dir, name, config, args.force)
     t0 = time.perf_counter()
     corpus = _load_run_corpus(run_dir)
-    classifier = _build_classifier(run_dir, config, name)
+    net = _load_net(run_dir, name)
+    classifier = _classifier(net, corpus, config.adaptation_classes, config.k_shot)
 
     test = corpus.subset(split="test")
     predicted = fsl.classify_batch(classifier, [r.image.pixels for r in test.records])
-    truth = test.labels()
-    cm = metrics.confusion(truth, predicted, metrics.NUM_CLASSES)
+    cm = metrics.confusion(test.labels(), predicted, metrics.NUM_CLASSES)
     report = metrics.binary_detection_metrics(cm)
 
-    adapt_classes = sorted(config.adaptation_classes)
-    extras = {
-        "adaptation_macro_accuracy": metrics.macro_recall(cm, adapt_classes),
-        "adaptation_macro_f2": metrics.macro_f_beta(cm, 2.0, adapt_classes),
-    }
+    acc, f2, _ = _adaptation_scores(classifier, corpus, config.adaptation_classes)
+    extras = {"adaptation_macro_accuracy": acc, "adaptation_macro_f2": f2}
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     metrics.write_metrics_csv(reports / f"metrics_{name}.csv", report, extras)
@@ -651,8 +660,7 @@ def cmd_embed(args) -> None:
     _check_identity(run_dir, name, config, args.force)
     t0 = time.perf_counter()
     corpus = _load_run_corpus(run_dir)
-    ckpt = _require(run_dir / "checkpoints" / f"{name}.gnssnet", f"checkpoint {name!r}")
-    net = nncore.load_checkpoint(ckpt)
+    net = _load_net(run_dir, name)
     test = corpus.subset(split="test")
     images = [r.image.pixels for r in test.records]
     emb = net.infer(images)
@@ -696,22 +704,9 @@ def cmd_sweep(args) -> None:
             cfg = replace(config, loss=loss, alpha1=float(m1), alpha2=float(m2))
         sim_map = fsl.load_fixture_map() if loss == "quadruplet" else None
         result = fsl.train(corpus, cfg, sim_map=sim_map)
-        base_classes = sorted(set(corpus.classes()) - set(cfg.adaptation_classes))
-        base = fsl.compute_prototypes(result.network, fsl.base_support(corpus, base_classes))
-        support = fsl.adaptation_support(corpus, cfg.adaptation_classes, cfg.k_shot)
-        classifier = fsl.adapt(result.network, support, cfg.k_shot, base=base)
-        test = corpus.subset(split="test")
-        predicted = fsl.classify_batch(classifier, [r.image.pixels for r in test.records])
-        cm = metrics.confusion(test.labels(), predicted, metrics.NUM_CLASSES)
-        rows.append(
-            (
-                loss,
-                m1,
-                m2 if m2 is not None else "",
-                metrics.macro_f_beta(cm, 2.0, sorted(cfg.adaptation_classes)),
-                metrics.macro_f_beta(cm, 1.0, sorted(cfg.adaptation_classes)),
-            )
-        )
+        _, f2, cm = adaptation_report(result.network, corpus, cfg.adaptation_classes, cfg.k_shot)
+        f1 = metrics.macro_f_beta(cm, 1.0, sorted(cfg.adaptation_classes))
+        rows.append((loss, m1, m2 if m2 is not None else "", f2, f1))
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     out = reports / "margin_sweep.csv"

@@ -27,7 +27,8 @@ from .nncore import (
     softmax_normalize,
 )
 from .spectro import CorpusRecord, LabeledCorpus
-from .uncertainty import Ensemble, decompose_uncertainty, predict_member
+from .uncertainty import UncertaintyReport
+from .uncertainty import predict_member  # noqa: F401  (re-export; perfbench/test_tracer.py uses it)
 
 SPLITS = ("train", "val", "test")
 DEFAULT_SPLIT_FRACTIONS = (0.64, 0.16, 0.20)
@@ -35,7 +36,7 @@ DEFAULT_ADAPTATION_CLASSES = (3, 7, 9, 10)
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss turns non-finite; carries the last network state."""
+    """Raised when the loss or gradient turns non-finite; carries the last network state."""
 
     def __init__(self, message: str, network: EmbeddingNetwork, epoch: int):
         super().__init__(message)
@@ -175,21 +176,8 @@ def compute_prototypes(backbone: EmbeddingNetwork, support: dict) -> PrototypeCl
     return PrototypeClassifier(prototypes, backbone)
 
 
-def classify(classifier: PrototypeClassifier, image) -> tuple[int, dict]:
-    """Nearest-prototype label; ties go to the smallest class id."""
-    emb = classifier.backbone.infer([image])[0]
-    distances = {}
-    best_label, best_d = None, np.inf
-    for c in classifier.classes():
-        d = float(np.sqrt(np.sum((emb - classifier.prototypes[c]) ** 2)))
-        distances[c] = d
-        if d < best_d:
-            best_label, best_d = c, d
-    return best_label, distances
-
-
 def classify_batch(classifier: PrototypeClassifier, images) -> np.ndarray:
-    """Vectorized nearest-prototype labels for many images."""
+    """Nearest-prototype labels for many images; ties go to the smallest class id."""
     emb = classifier.backbone.infer(list(images))
     protos = classifier.prototype_matrix()
     d2 = ((emb[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
@@ -302,38 +290,34 @@ def load_fixture_map() -> SimilarityMap:
 
 
 def build_similarity_map(
-    ensemble: Ensemble,
-    corpus,
+    report: UncertaintyReport,
+    labels,
     quantile: float = 0.75,
     min_stat: float = 1e-6,
 ) -> SimilarityMap:
     """Rank confusable class pairs by mean epistemic trace.
 
-    For an ordered pair (c, c'), the statistic is the mean epistemic trace over
-    class-c samples whose ensemble-mean prediction puts c' in its top-2. Pairs
-    must clear both an absolute floor and the per-class quantile threshold.
+    `report` decomposes the ensemble's (M, N, K) member probabilities over N
+    validation samples whose head-index labels are `labels`. For an ordered
+    pair (c, c'), the statistic is the mean epistemic trace over class-c
+    samples whose ensemble-mean prediction puts c' in its top-2. Pairs must
+    clear both an absolute floor and the per-class quantile threshold.
     """
-    samples = _as_labeled_images(corpus)
-    if not samples:
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
         raise ValueError("empty validation set")
-    images = [img for img, _ in samples]
-    labels = np.array([lbl for _, lbl in samples])
+    k = report.mean_softmax.shape[-1]
 
-    member_probs = np.stack([predict_member(m, images) for m in ensemble.members])
-    mean_probs = member_probs.mean(axis=0)
-
-    k = ensemble.num_classes
+    # np.add.at adds in sample order, so each (c, c') sum equals a per-sample loop's.
+    top2 = np.argsort(-report.mean_softmax, axis=1, kind="stable")[:, :2]
+    rows = np.repeat(labels, 2)
+    cols = top2.reshape(-1)
+    traces = np.repeat(report.epistemic_trace, 2)
+    other = cols != rows
     sums = np.zeros((k, k))
     counts = np.zeros((k, k), dtype=np.int64)
-    for i in range(len(samples)):
-        rep = decompose_uncertainty(member_probs[:, i, :])
-        trace = rep.epistemic_trace
-        top2 = np.argsort(-mean_probs[i], kind="stable")[:2]
-        c = labels[i]
-        for cp in top2:
-            if cp != c:
-                sums[c, cp] += trace
-                counts[c, cp] += 1
+    np.add.at(sums, (rows[other], cols[other]), traces[other])
+    np.add.at(counts, (rows[other], cols[other]), 1)
 
     present = set(labels.tolist())
     missing = set(range(k)) - present
@@ -358,12 +342,6 @@ def build_similarity_map(
         if chosen:
             ranked[int(c)] = [int(cp) for _, cp in chosen]
     return SimilarityMap(ranked)
-
-
-def _as_labeled_images(corpus) -> list:
-    if isinstance(corpus, LabeledCorpus):
-        return [(r.image.pixels, r.label) for r in corpus.records]
-    return [(np.asarray(img), int(lbl)) for img, lbl in corpus]
 
 
 def _class_index(corpus: LabeledCorpus) -> dict:
@@ -649,9 +627,12 @@ def train(
                 raise TrainingDiverged(
                     f"loss became non-finite at epoch {epoch}", net, epoch
                 )
-            net.params = sgd_step(
-                net.params, grads.astype(net.params.dtype), config.lr, config.decay, decay_mask
-            )
+            try:
+                net.params = sgd_step(
+                    net.params, grads.astype(net.params.dtype), config.lr, config.decay, decay_mask
+                )
+            except FloatingPointError as exc:
+                raise TrainingDiverged(f"{exc} at epoch {epoch}", net, epoch) from exc
             step_losses.append(loss)
         epoch_losses.append(float(np.mean(step_losses)))
         if epoch_callback is not None:

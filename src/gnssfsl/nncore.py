@@ -2,8 +2,6 @@
 
 Stack: repeated [conv 3x3 (pad 1) + bias + ReLU + 2x2 max-pool], global average
 pool, dense projection to the embedding, and an optional dense classifier head.
-An adaptation block (one extra conv 3x3 + ReLU before pooling) can be attached
-after training; with the backbone frozen its gradients are exactly zero.
 
 Parameters live in one flat vector so the optimizer and gradient checks treat
 the whole network uniformly. float32 is the training default; float64 is used
@@ -33,10 +31,6 @@ class ArchConfig:
     embed_dim: int = 64
     num_classes: Optional[int] = None
     dtype: str = "f32"
-    # Adds a fixed frequency-coordinate input plane. Global average pooling is
-    # otherwise blind to where along the frequency axis energy sits, and tone
-    # classes are defined by exactly that.
-    freq_coord: bool = True
 
     def __post_init__(self):
         if self.height <= 0 or self.width <= 0:
@@ -163,9 +157,6 @@ class _ConvRelu:
         dx = dxp[:, :, 1 : h + 1, 1 : wd + 1]
         return dx, np.concatenate([dw.ravel(), db])
 
-    def out_shape(self, h, w):
-        return h, w
-
 
 class _MaxPool2:
     """2x2 max-pool, stride 2; odd trailing rows/cols are dropped."""
@@ -200,9 +191,6 @@ class _MaxPool2:
             .reshape(bsz, c, 2 * h2, 2 * w2)
         )
         return dx, np.zeros(0, dtype=dy.dtype)
-
-    def out_shape(self, h, w):
-        return h // 2, w // 2
 
 
 class _GlobalAvgPool:
@@ -260,80 +248,35 @@ class EmbeddingNetwork:
     def __init__(self, config: ArchConfig, seed: int):
         self.config = config
         self.seed = seed
-        self.freeze_backbone = False
-        self._cache = None
-        self._build_layers(adaptation_head=False)
-        rng = np.random.default_rng(seed)
-        self.params = np.concatenate(
-            [layer.init_params(rng, config.np_dtype) for layer in self._layers]
-        )
-        if self.params.dtype != config.np_dtype:
-            self.params = self.params.astype(config.np_dtype)
-
-    def _build_layers(self, adaptation_head: bool) -> None:
-        cfg = self.config
+        # Input channels: the image plus a fixed frequency-coordinate plane.
+        in_ch = 2
         layers = []
-        in_ch = 2 if cfg.freq_coord else 1
-        for out_ch in cfg.conv_channels:
+        for out_ch in config.conv_channels:
             layers.append(_ConvRelu(in_ch, out_ch))
             layers.append(_MaxPool2())
             in_ch = out_ch
-        self._adaptation_index = None
-        if adaptation_head:
-            self._adaptation_index = len(layers)
-            layers.append(_ConvRelu(in_ch, in_ch))
         layers.append(_GlobalAvgPool())
         self._embed_index = len(layers)
-        layers.append(_Dense(in_ch, cfg.embed_dim))
+        layers.append(_Dense(in_ch, config.embed_dim))
         self._head_index = None
-        if cfg.num_classes is not None:
+        if config.num_classes is not None:
             self._head_index = len(layers)
-            layers.append(_Dense(cfg.embed_dim, cfg.num_classes))
+            layers.append(_Dense(config.embed_dim, config.num_classes))
         self._layers = layers
-        offsets = np.cumsum([0] + [l.n_params for l in layers])
-        self._offsets = offsets
-        self.n_params = int(offsets[-1])
-
-    @property
-    def has_adaptation_head(self) -> bool:
-        return self._adaptation_index is not None
+        self._offsets = np.cumsum([0] + [l.n_params for l in layers])
+        self.n_params = int(self._offsets[-1])
+        rng = np.random.default_rng(seed)
+        self.params = np.concatenate(
+            [layer.init_params(rng, config.np_dtype) for layer in layers]
+        )
+        if self.params.dtype != config.np_dtype:
+            self.params = self.params.astype(config.np_dtype)
 
     def _param_slice(self, i: int) -> slice:
         return slice(int(self._offsets[i]), int(self._offsets[i + 1]))
 
     def decay_mask(self) -> np.ndarray:
         return np.concatenate([l.decay_mask() for l in self._layers])
-
-    def attach_adaptation_head(self, seed: int, freeze_backbone: bool = True) -> None:
-        """Insert the post-training conv block before global pooling."""
-        if self.has_adaptation_head:
-            raise ValueError("adaptation head already attached")
-        old_layers = self._layers
-        old_offsets = self._offsets
-        old_params = self.params
-        self._build_layers(adaptation_head=True)
-        rng = np.random.default_rng(seed)
-        parts = []
-        for i, layer in enumerate(self._layers):
-            if i == self._adaptation_index:
-                parts.append(layer.init_params(rng, self.config.np_dtype))
-            else:
-                j = i if i < self._adaptation_index else i - 1
-                parts.append(old_params[int(old_offsets[j]) : int(old_offsets[j + 1])])
-        del old_layers
-        self.params = np.concatenate(parts).astype(self.config.np_dtype)
-        self.freeze_backbone = freeze_backbone
-        self._cache = None
-
-    def trainable_mask(self) -> np.ndarray:
-        """True where SGD may update; all-True unless the backbone is frozen."""
-        mask = np.ones(self.n_params, dtype=bool)
-        if self.freeze_backbone:
-            if not self.has_adaptation_head:
-                raise ValueError("freeze_backbone without an adaptation head")
-            mask[:] = False
-            mask[self._param_slice(self._adaptation_index)] = True
-        return mask
 
     # -- forward / backward -------------------------------------------------
 
@@ -357,15 +300,16 @@ class EmbeddingNetwork:
         else:
             x = x.astype(self.config.np_dtype)
         x = x[:, None, :, :]
-        if self.config.freq_coord:
-            ramp = np.linspace(-0.5, 0.5, self.config.height, dtype=self.config.np_dtype)
-            coord = np.broadcast_to(
-                ramp[None, None, :, None], (x.shape[0], 1, self.config.height, self.config.width)
-            )
-            x = np.concatenate([x, coord], axis=1)
-        return x
+        # Global average pooling is otherwise blind to where along the
+        # frequency axis energy sits, and tone classes are defined by that.
+        ramp = np.linspace(-0.5, 0.5, self.config.height, dtype=self.config.np_dtype)
+        coord = np.broadcast_to(
+            ramp[None, None, :, None], (x.shape[0], 1, self.config.height, self.config.width)
+        )
+        return np.concatenate([x, coord], axis=1)
 
     def forward_with_cache(self, batch, with_head: bool = False):
+        """Forward pass returning (output, cache); the cache feeds backward_from."""
         if with_head and self._head_index is None:
             raise ValueError("network has no classifier head")
         x = self._prepare_batch(batch)
@@ -376,17 +320,13 @@ class EmbeddingNetwork:
             caches.append(c)
         return x, {"caches": caches, "stop": stop}
 
-    def forward(self, batch, with_head: bool = False) -> np.ndarray:
-        out, cache = self.forward_with_cache(batch, with_head)
-        self._cache = cache
-        return out
-
     def infer(self, batch, with_head: bool = False) -> np.ndarray:
         """Forward pass for inference; keeps no cache for backward."""
         out, _ = self.forward_with_cache(batch, with_head)
         return out
 
     def backward_from(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        """Parameter gradient for upstream gradient grad_out at a cached forward."""
         stop = cache["stop"]
         caches = cache["caches"]
         grads = np.zeros_like(self.params)
@@ -395,20 +335,7 @@ class EmbeddingNetwork:
             layer = self._layers[i]
             dy, dp = layer.backward(dy, self.params[self._param_slice(i)], caches[i])
             grads[self._param_slice(i)] = dp
-        if self.freeze_backbone:
-            grads[~self.trainable_mask()] = 0
         return grads
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called without a cached forward pass")
-        cache, self._cache = self._cache, None
-        return self.backward_from(cache, grad_out)
-
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        save_checkpoint(self, path)
 
 
 def init(config: ArchConfig, seed: int) -> EmbeddingNetwork:
@@ -416,7 +343,13 @@ def init(config: ArchConfig, seed: int) -> EmbeddingNetwork:
     return EmbeddingNetwork(config, seed)
 
 
+def _wire_dtype(config: ArchConfig) -> np.dtype:
+    return np.dtype(config.np_dtype).newbyteorder("<")
+
+
 def save_checkpoint(net: EmbeddingNetwork, path: str | Path) -> None:
+    """Write magic, u32-LE header length, JSON header, then the parameters
+    little-endian in the header's dtype."""
     header = {
         "height": net.config.height,
         "width": net.config.width,
@@ -424,40 +357,47 @@ def save_checkpoint(net: EmbeddingNetwork, path: str | Path) -> None:
         "embed_dim": net.config.embed_dim,
         "num_classes": net.config.num_classes,
         "dtype": net.config.dtype,
-        "freq_coord": net.config.freq_coord,
         "seed": net.seed,
-        "adaptation_head": net.has_adaptation_head,
-        "freeze_backbone": net.freeze_backbone,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = net.params.astype("<f4").tobytes()
+    payload = net.params.astype(_wire_dtype(net.config)).tobytes()
     Path(path).write_bytes(
         CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + payload
     )
 
 
 def load_checkpoint(path: str | Path) -> EmbeddingNetwork:
+    """Read a save_checkpoint file; any malformed file raises ValueError."""
     data = Path(path).read_bytes()
+    preamble = len(CHECKPOINT_MAGIC) + 4
+    if len(data) < preamble:
+        raise ValueError(
+            f"checkpoint is {len(data)} bytes, shorter than its {preamble}-byte preamble"
+        )
     if data[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"bad magic {data[:8]!r}, expected {CHECKPOINT_MAGIC!r}")
-    (hlen,) = struct.unpack("<I", data[8:12])
-    header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
-    config = ArchConfig(
-        height=header["height"],
-        width=header["width"],
-        conv_channels=tuple(header["conv_channels"]),
-        embed_dim=header["embed_dim"],
-        num_classes=header["num_classes"],
-        dtype=header["dtype"],
-        freq_coord=header.get("freq_coord", True),
-    )
-    net = EmbeddingNetwork(config, header.get("seed", 0))
-    if header.get("adaptation_head", False):
-        net.attach_adaptation_head(seed=0, freeze_backbone=header.get("freeze_backbone", False))
-    params = np.frombuffer(data[12 + hlen :], dtype="<f4")
-    if params.size != net.n_params:
-        raise ValueError(
-            f"checkpoint has {params.size} parameters, architecture needs {net.n_params}"
+    (hlen,) = struct.unpack("<I", data[len(CHECKPOINT_MAGIC) : preamble])
+    if len(data) < preamble + hlen:
+        raise ValueError(f"checkpoint header declares {hlen} bytes, file is truncated")
+    header = json.loads(data[preamble : preamble + hlen].decode("utf-8"))
+    try:
+        config = ArchConfig(
+            height=header["height"],
+            width=header["width"],
+            conv_channels=tuple(header["conv_channels"]),
+            embed_dim=header["embed_dim"],
+            num_classes=header["num_classes"],
+            dtype=header["dtype"],
         )
-    net.params = params.astype(config.np_dtype)
+        net = EmbeddingNetwork(config, header.get("seed", 0))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad checkpoint header: {exc!r}") from exc
+    wire = _wire_dtype(config)
+    payload = data[preamble + hlen :]
+    if len(payload) != net.n_params * wire.itemsize:
+        raise ValueError(
+            f"checkpoint payload is {len(payload)} bytes, architecture needs "
+            f"{net.n_params} {config.dtype} parameters ({net.n_params * wire.itemsize} bytes)"
+        )
+    net.params = np.frombuffer(payload, dtype=wire).astype(config.np_dtype)
     return net

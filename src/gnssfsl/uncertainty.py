@@ -29,28 +29,22 @@ class Ensemble:
         if len(heads) != 1 or None in heads:
             raise ValueError("all members need the same classifier head")
 
-    @property
-    def num_members(self) -> int:
-        return len(self.members)
-
-    @property
-    def num_classes(self) -> int:
-        return self.members[0].config.num_classes
-
 
 @dataclass
 class UncertaintyReport:
-    aleatoric: np.ndarray  # K x K
-    epistemic: np.ndarray  # K x K
-    mean_softmax: np.ndarray  # K
+    """Decomposition of one sample (K x K matrices) or of N samples (N x K x K)."""
+
+    aleatoric: np.ndarray  # (..., K, K)
+    epistemic: np.ndarray  # (..., K, K)
+    mean_softmax: np.ndarray  # (..., K)
 
     @property
-    def aleatoric_trace(self) -> float:
-        return float(np.trace(self.aleatoric))
+    def aleatoric_trace(self):
+        return np.trace(self.aleatoric, axis1=-2, axis2=-1)
 
     @property
-    def epistemic_trace(self) -> float:
-        return float(np.trace(self.epistemic))
+    def epistemic_trace(self):
+        return np.trace(self.epistemic, axis1=-2, axis2=-1)
 
 
 def predict_member(member: EmbeddingNetwork, images) -> np.ndarray:
@@ -58,49 +52,31 @@ def predict_member(member: EmbeddingNetwork, images) -> np.ndarray:
     return softmax_normalize(member.infer(images, with_head=True))
 
 
-def predict_ensemble(ensemble: Ensemble, image) -> list[np.ndarray]:
-    """One softmax vector per member (T = M forward passes)."""
-    return [predict_member(member, [image])[0] for member in ensemble.members]
+def decompose_uncertainty(probs) -> UncertaintyReport:
+    """Split predictive covariance into aleatoric and epistemic K x K parts.
 
-
-def decompose_uncertainty(softmax_list) -> UncertaintyReport:
-    """Split predictive covariance into aleatoric and epistemic K x K parts."""
-    if len(softmax_list) == 0:
+    `probs` holds T softmax vectors: (T, K) for one sample, or (T, N, K) to
+    decompose N samples at once, giving matrices with a leading N axis.
+    """
+    c = np.asarray(probs, dtype=np.float64)
+    if c.ndim not in (2, 3):
+        raise ValueError(f"expected (T, K) or (T, N, K) probabilities, got shape {c.shape}")
+    if c.shape[0] == 0:
         raise ValueError("need at least one softmax vector")
-    c = np.asarray(softmax_list, dtype=np.float64)
-    if c.ndim != 2:
-        raise ValueError(f"expected (T, K) probabilities, got shape {c.shape}")
-    if np.any(c < -1e-9) or np.any(np.abs(c.sum(axis=1) - 1.0) > 1e-6):
+    if np.any(c < -1e-9) or np.any(np.abs(c.sum(axis=-1) - 1.0) > 1e-6):
         raise ValueError("inputs are not probability vectors")
-    t, k = c.shape
+    t, k = c.shape[0], c.shape[-1]
     mean = c.mean(axis=0)
 
-    outer = np.einsum("ti,tj->tij", c, c)
-    aleatoric = np.zeros((k, k))
-    aleatoric[np.diag_indices(k)] = mean
+    outer = np.einsum("t...i,t...j->t...ij", c, c)
+    aleatoric = np.zeros(mean.shape + (k,))
+    aleatoric[..., np.arange(k), np.arange(k)] = mean
     aleatoric -= outer.mean(axis=0)
 
     dev = c - mean
-    epistemic = np.einsum("ti,tj->ij", dev, dev) / t
+    epistemic = np.einsum("t...i,t...j->...ij", dev, dev) / t
 
     return UncertaintyReport(aleatoric, epistemic, mean)
-
-
-def scalar_uncertainty(report: UncertaintyReport, kind: str) -> float:
-    """Trace of the selected uncertainty matrix."""
-    if kind == "aleatoric":
-        return report.aleatoric_trace
-    if kind == "epistemic":
-        return report.epistemic_trace
-    raise ValueError(f"kind must be 'aleatoric' or 'epistemic', got {kind!r}")
-
-
-def ensemble_reports(ensemble: Ensemble, images) -> list[UncertaintyReport]:
-    """Batched decomposition for a list/array of images."""
-    per_member = np.stack(
-        [predict_member(m, images) for m in ensemble.members]
-    )  # (M, N, K)
-    return [decompose_uncertainty(per_member[:, i, :]) for i in range(per_member.shape[1])]
 
 
 def write_uncertainty_csv(
@@ -108,14 +84,17 @@ def write_uncertainty_csv(
     sample_ids,
     true_labels,
     predicted_labels,
-    reports: list[UncertaintyReport],
+    report: UncertaintyReport,
 ) -> None:
+    """One row per sample of a batched report (see decompose_uncertainty)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["sample_id", "true_label", "predicted_label", "aleatoric_trace", "epistemic_trace"]
         )
-        for sid, t, p, rep in zip(sample_ids, true_labels, predicted_labels, reports):
-            writer.writerow(
-                [sid, int(t), int(p), f"{rep.aleatoric_trace:.9f}", f"{rep.epistemic_trace:.9f}"]
-            )
+        rows = zip(
+            sample_ids, true_labels, predicted_labels,
+            report.aleatoric_trace, report.epistemic_trace,
+        )
+        for sid, t, p, alea, epi in rows:
+            writer.writerow([sid, int(t), int(p), f"{alea:.9f}", f"{epi:.9f}"])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnssfsl import cli, fsl
+from gnssfsl import cli, fsl, nncore, uncertainty
 from gnssfsl.cli import class_counts, identity_hash
 from gnssfsl.spectro import load_corpus
 
@@ -201,8 +201,6 @@ class TestPipeline:
     def test_eval_on_untrained_checkpoint_is_total(self, pipeline_run, tmp_path):
         run, cfg_ce, _ = pipeline_run
         # a freshly initialized, never-trained network still yields a report
-        from gnssfsl import nncore
-
         cfg = fsl.TrainConfig.from_json(Path(cfg_ce).read_text())
         net = nncore.init(cfg.arch(), seed=99)
         nncore.save_checkpoint(net, run / "checkpoints" / "fresh.gnssnet")
@@ -217,6 +215,34 @@ class TestPipeline:
         m = fsl.SimilarityMap.load(run / "similarity_map.json")
         for c, others in m.ranked.items():
             assert c not in others
+
+    def test_eval_adaptation_scores_equal_adaptation_report(self, pipeline_run):
+        run, cfg_ce, cfg_quad = pipeline_run
+        corpus = load_corpus(run / "corpus" / "manifest.json")
+        for name, cfg_path in (("ce", cfg_ce), ("quadruplet", cfg_quad)):
+            cfg = fsl.TrainConfig.from_json(Path(cfg_path).read_text())
+            net = nncore.load_checkpoint(run / "checkpoints" / f"{name}.gnssnet")
+            acc, f2, _ = cli.adaptation_report(net, corpus, cfg.adaptation_classes, cfg.k_shot)
+            lines = (run / "reports" / f"metrics_{name}.csv").read_text().splitlines()
+            rows = dict(line.split(",") for line in lines[1:])
+            assert rows["adaptation_macro_accuracy"] == f"{acc:.9f}", name
+            assert rows["adaptation_macro_f2"] == f"{f2:.9f}", name
+
+    def test_mine_runs_each_member_once(self, pipeline_run, monkeypatch):
+        run, _, _ = pipeline_run
+        before = (run / "similarity_map.json").read_bytes()
+        calls = []
+        real = uncertainty.predict_member
+
+        def counting(member, images):
+            calls.append(id(member))
+            return real(member, images)
+
+        monkeypatch.setattr(uncertainty, "predict_member", counting)
+        monkeypatch.setattr(fsl, "predict_member", counting)
+        assert cli.main(["mine", "--run", str(run)]) == 0
+        assert len(calls) == 2 and len(set(calls)) == 2
+        assert (run / "similarity_map.json").read_bytes() == before
 
 
 class TestSweep:
@@ -257,6 +283,53 @@ class TestStageErrors:
         assert "config hash mismatch" in err["message"]
         rc = cli.main(["eval", "--run", str(run), "--config", str(other), "--force"])
         assert rc == 0
+
+
+    def test_eval_on_truncated_checkpoint(self, pipeline_run, capsys):
+        run, cfg_ce, _ = pipeline_run
+        data = (run / "checkpoints" / "ce.gnssnet").read_bytes()
+        (run / "checkpoints" / "truncated.gnssnet").write_bytes(data[:10])
+        rc = cli.main(
+            ["eval", "--run", str(run), "--config", str(cfg_ce), "--name", "truncated"]
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+
+    def test_non_finite_gradient_keeps_rescue_checkpoint(
+        self, pipeline_run, monkeypatch, capsys
+    ):
+        run, cfg_ce, _ = pipeline_run
+        monkeypatch.setattr(
+            fsl, "pn_episode_loss", lambda net, episode: (1.0, np.full(net.n_params, np.nan))
+        )
+        rc = cli.main(
+            ["train", "--run", str(run), "--config", str(cfg_ce), "--name", "nan_grad"]
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "stage_error"
+        assert Path(err["checkpoint"]).name == "nan_grad_diverged.gnssnet"
+        assert Path(err["checkpoint"]).exists()
+
+
+class TestRunManifest:
+    def test_failed_write_leaves_previous_manifest(self, tmp_path, monkeypatch):
+        cli._append_stage(tmp_path, {"stage": "first"})
+        manifest = tmp_path / "run_manifest.json"
+        before = manifest.read_bytes()
+
+        def torn_write(self, data, *args, **kwargs):
+            with open(self, "w") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError):
+            cli._append_stage(tmp_path, {"stage": "second"})
+        monkeypatch.undo()
+        assert manifest.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run_manifest.json"]
 
 
 class TestIdentityHash:

@@ -11,7 +11,6 @@ from gnssfsl.fsl import (
     TrainConfig,
     adapt,
     build_similarity_map,
-    classify,
     classify_batch,
     compute_prototypes,
     load_fixture_map,
@@ -22,7 +21,7 @@ from gnssfsl.fsl import (
 )
 from gnssfsl.nncore import ArchConfig, init
 from gnssfsl.spectro import CorpusRecord, LabeledCorpus, SpectrogramImage
-from gnssfsl.uncertainty import Ensemble
+from gnssfsl.uncertainty import decompose_uncertainty, predict_member
 
 SMALL = ArchConfig(height=8, width=8, conv_channels=(2, 3), embed_dim=4, dtype="f64")
 
@@ -94,7 +93,7 @@ class TestPrototypes:
         rng = np.random.default_rng(0)
         img = rng.integers(0, 256, size=(8, 8)).astype(np.uint8)
         clf = compute_prototypes(net, {0: [img], 1: [img]})
-        emb = net.forward([img])[0]
+        emb = net.infer([img])[0]
         np.testing.assert_allclose(clf.prototypes[0], emb, atol=1e-12)
 
     def test_mean_of_support(self):
@@ -102,7 +101,7 @@ class TestPrototypes:
         rng = np.random.default_rng(1)
         imgs = [rng.integers(0, 256, size=(8, 8)).astype(np.uint8) for _ in range(4)]
         clf = compute_prototypes(net, {0: imgs, 1: imgs[:1]})
-        emb = net.forward(imgs)
+        emb = net.infer(imgs)
         np.testing.assert_allclose(clf.prototypes[0], emb.mean(axis=0), atol=1e-12)
 
     def test_duplicated_support_same_prototype(self):
@@ -125,9 +124,9 @@ class TestClassify:
         rng = np.random.default_rng(3)
         imgs = {c: [rng.integers(0, 256, size=(8, 8)).astype(np.uint8)] for c in (0, 1, 2)}
         clf = compute_prototypes(net, imgs)
-        label, dists = classify(clf, imgs[1][0])
-        assert label == 1
-        assert dists[1] == pytest.approx(0.0, abs=1e-6)
+        assert list(classify_batch(clf, [imgs[1][0]])) == [1]
+        emb = net.infer([imgs[1][0]])[0]
+        assert np.linalg.norm(emb - clf.prototypes[1]) == pytest.approx(0.0, abs=1e-6)
 
     def test_tie_breaks_to_smaller_id(self):
         net = init(SMALL, seed=6)
@@ -135,9 +134,7 @@ class TestClassify:
             {2: np.array([1.0, 0.0, 0.0, 0.0]), 5: np.array([1.0, 0.0, 0.0, 0.0])}, net
         )
         emb_img = np.zeros((8, 8), dtype=np.uint8)
-        label, dists = classify(clf, emb_img)
-        assert dists[2] == dists[5]
-        assert label == 2
+        assert list(classify_batch(clf, [emb_img])) == [2]
 
     def test_brute_force_oracle(self):
         net = init(SMALL, seed=7)
@@ -150,11 +147,9 @@ class TestClassify:
         queries = [rng.integers(0, 256, size=(8, 8)).astype(np.uint8) for _ in range(20)]
         batch_labels = classify_batch(clf, queries)
         for q, got in zip(queries, batch_labels):
-            emb = net.forward([q])[0]
+            emb = net.infer([q])[0]
             dists = {c: np.linalg.norm(emb - v) for c, v in clf.prototypes.items()}
             expected = min(sorted(dists), key=lambda c: dists[c])
-            single_label, _ = classify(clf, q)
-            assert single_label == expected
             assert got == expected
 
 
@@ -227,42 +222,71 @@ class TestSimilarityMap:
         with pytest.raises(ValueError):
             SimilarityMap({1: [1]})
 
-    def _separated_ensemble_and_data(self):
+    @staticmethod
+    def _mine(members, data):
+        images = [img for img, _ in data]
+        probs = np.stack([predict_member(m, images) for m in members])
+        return build_similarity_map(decompose_uncertainty(probs), [lbl for _, lbl in data])
+
+    def test_zero_epistemic_gives_empty_map(self):
         # members agree perfectly and confidently: epistemic ~ 0 everywhere
         cfg = ArchConfig(height=8, width=8, conv_channels=(2,), embed_dim=4, num_classes=2)
         members = [init(cfg, seed=3)] * 3  # identical members
-        data = []
         rng = np.random.default_rng(0)
-        for label in (0, 1):
-            for _ in range(5):
-                data.append((rng.integers(0, 256, size=(8, 8)).astype(np.uint8), label))
-        return Ensemble(members), data
-
-    def test_zero_epistemic_gives_empty_map(self):
-        ens, data = self._separated_ensemble_and_data()
-        m = build_similarity_map(ens, data)
-        assert m.ranked == {}
+        data = [
+            (rng.integers(0, 256, size=(8, 8)).astype(np.uint8), label)
+            for label in (0, 1)
+            for _ in range(5)
+        ]
+        assert self._mine(members, data).ranked == {}
 
     def test_shuffle_invariance(self):
         cfg = ArchConfig(height=8, width=8, conv_channels=(2,), embed_dim=4, num_classes=3)
-        ens = Ensemble([init(cfg, seed=s) for s in (1, 2, 3)])
+        members = [init(cfg, seed=s) for s in (1, 2, 3)]
         rng = np.random.default_rng(1)
         data = [
             (rng.integers(0, 256, size=(8, 8)).astype(np.uint8), int(rng.integers(3)))
             for _ in range(30)
         ]
-        m1 = build_similarity_map(ens, data)
+        m1 = self._mine(members, data)
         order = rng.permutation(len(data))
-        m2 = build_similarity_map(ens, [data[i] for i in order])
+        m2 = self._mine(members, [data[i] for i in order])
         assert m1.ranked == m2.ranked
 
     def test_absent_class_warns(self):
         cfg = ArchConfig(height=8, width=8, conv_channels=(2,), embed_dim=4, num_classes=4)
-        ens = Ensemble([init(cfg, seed=s) for s in (1, 2)])
+        members = [init(cfg, seed=s) for s in (1, 2)]
         rng = np.random.default_rng(2)
         data = [(rng.integers(0, 256, size=(8, 8)).astype(np.uint8), 0) for _ in range(4)]
         with pytest.warns(UserWarning, match="absent"):
-            build_similarity_map(ens, data)
+            self._mine(members, data)
+
+    def test_matches_per_sample_loop(self):
+        """Vectorized accumulation equals the per-sample reference loop."""
+        rng = np.random.default_rng(3)
+        t, n, k = 4, 60, 5
+        raw = rng.gamma(0.5, size=(t, n, k))
+        probs = raw / raw.sum(axis=2, keepdims=True)
+        labels = rng.integers(k, size=n)
+        sums = np.zeros((k, k))
+        counts = np.zeros((k, k), dtype=np.int64)
+        for i in range(n):
+            rep = decompose_uncertainty(probs[:, i, :])
+            top2 = np.argsort(-rep.mean_softmax, kind="stable")[:2]
+            for cp in top2:
+                if cp != labels[i]:
+                    sums[labels[i], cp] += rep.epistemic_trace
+                    counts[labels[i], cp] += 1
+        expected = {}
+        for c in range(k):
+            stats = {cp: sums[c, cp] / counts[c, cp] for cp in range(k) if counts[c, cp]}
+            values = [v for v in stats.values() if v > 1e-6]
+            if values:
+                threshold = float(np.quantile(values, 0.5))
+                chosen = sorted((-v, cp) for cp, v in stats.items() if v > 1e-6 and v >= threshold)
+                expected[c] = [cp for _, cp in chosen]
+        got = build_similarity_map(decompose_uncertainty(probs), labels, quantile=0.5)
+        assert got.ranked == expected
 
 
 class TestQuadrupletSampling:

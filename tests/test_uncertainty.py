@@ -9,9 +9,7 @@ from gnssfsl.nncore import ArchConfig, init
 from gnssfsl.uncertainty import (
     Ensemble,
     decompose_uncertainty,
-    ensemble_reports,
-    predict_ensemble,
-    scalar_uncertainty,
+    predict_member,
     write_uncertainty_csv,
 )
 
@@ -79,17 +77,25 @@ class TestDecomposition:
         eigs = np.linalg.eigvalsh(rep.epistemic)
         assert eigs.min() >= -1e-10
 
+    def test_batched_matches_per_sample(self):
+        rng = np.random.default_rng(9)
+        t, n, k = 5, 7, 4
+        c = random_simplex(rng, t * n, k).reshape(t, n, k)
+        batch = decompose_uncertainty(c)
+        assert batch.epistemic.shape == (n, k, k)
+        for i in range(n):
+            one = decompose_uncertainty(c[:, i, :])
+            np.testing.assert_array_equal(batch.aleatoric[i], one.aleatoric)
+            np.testing.assert_array_equal(batch.epistemic[i], one.epistemic)
+            np.testing.assert_array_equal(batch.mean_softmax[i], one.mean_softmax)
+            assert batch.epistemic_trace[i] == one.epistemic_trace
+
 
 class TestScalar:
     def test_trace_value(self):
         rep = decompose_uncertainty([np.array([0.5, 0.5])] * 2)
-        assert scalar_uncertainty(rep, "aleatoric") == pytest.approx(0.5)
-        assert scalar_uncertainty(rep, "epistemic") == pytest.approx(0.0)
-
-    def test_unknown_kind(self):
-        rep = decompose_uncertainty([np.array([0.5, 0.5])])
-        with pytest.raises(ValueError):
-            scalar_uncertainty(rep, "predictive")
+        assert rep.aleatoric_trace == pytest.approx(0.5)
+        assert rep.epistemic_trace == pytest.approx(0.0)
 
     def test_trace_permutation_invariant(self):
         rng = np.random.default_rng(8)
@@ -108,14 +114,15 @@ class TestEnsemble:
     def test_member_count_is_t(self):
         ens = self._ensemble([1])
         img = np.zeros((8, 8), dtype=np.uint8)
-        out = predict_ensemble(ens, img)
-        assert len(out) == 1
+        probs = np.stack([predict_member(m, [img]) for m in ens.members])
+        assert probs.shape == (1, 1, 3)
 
     def test_outputs_on_simplex(self):
         ens = self._ensemble([1, 2, 3])
         rng = np.random.default_rng(0)
         img = rng.integers(0, 256, size=(8, 8)).astype(np.uint8)
-        for vec in predict_ensemble(ens, img):
+        for member in ens.members:
+            (vec,) = predict_member(member, [img])
             assert vec.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(vec >= 0)
 
@@ -123,7 +130,7 @@ class TestEnsemble:
         ens = self._ensemble([7, 7, 7])
         rng = np.random.default_rng(1)
         img = rng.integers(0, 256, size=(8, 8)).astype(np.uint8)
-        out = predict_ensemble(ens, img)
+        out = [predict_member(m, [img])[0] for m in ens.members]
         np.testing.assert_array_equal(out[0], out[1])
         np.testing.assert_array_equal(out[1], out[2])
         rep = decompose_uncertainty(out)
@@ -141,10 +148,10 @@ class TestEnsemble:
         ens = self._ensemble([1, 2])
         rng = np.random.default_rng(2)
         imgs = rng.integers(0, 256, size=(3, 8, 8)).astype(np.uint8)
-        reps = ensemble_reports(ens, imgs)
-        assert len(reps) == 3
+        report = decompose_uncertainty(np.stack([predict_member(m, imgs) for m in ens.members]))
+        assert report.aleatoric_trace.shape == (3,)
         path = tmp_path / "unc.csv"
-        write_uncertainty_csv(path, ["a", "b", "c"], [0, 1, 2], [0, 0, 2], reps)
+        write_uncertainty_csv(path, ["a", "b", "c"], [0, 1, 2], [0, 0, 2], report)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == [
@@ -156,3 +163,4 @@ class TestEnsemble:
         ]
         assert len(rows) == 4
         assert float(rows[1][3]) >= 0.0
+        assert rows[2][4] == f"{report.epistemic_trace[1]:.9f}"
