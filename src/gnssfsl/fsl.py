@@ -9,8 +9,9 @@ unseen classes is prototype averaging only: the backbone never updates.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -128,7 +129,11 @@ def sample_episode(
     corpus: LabeledCorpus, classes, k_shot: int, n_query: int, rng: np.random.Generator
 ) -> Episode:
     """Draw a k-shot episode with up to n_query queries per class."""
-    by_class = _class_index(corpus)
+    return _sample_episode(corpus, _class_index(corpus), classes, k_shot, n_query, rng)
+
+
+def _sample_episode(corpus, by_class, classes, k_shot, n_query, rng) -> Episode:
+    """sample_episode with the corpus's class index (`_class_index`) given."""
     support = {}
     query = []
     for c in sorted(classes):
@@ -429,6 +434,20 @@ def sample_triplet_indices(
 # ---------------------------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# TrainConfig's field annotations (strings under postponed evaluation) ->
+# (what the value must be, its check).
+_FIELD_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "tuple": ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
+}
+
+
 @dataclass
 class TrainConfig:
     loss: str = "ce"  # ce | contrastive | triplet | quadruplet
@@ -458,6 +477,11 @@ class TrainConfig:
     batch_size: int = 32  # ce pretrain mode
 
     def __post_init__(self):
+        for f in fields(self):
+            what, check = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not check(value):
+                raise ValueError(f"config field {f.name!r} must be {what}, got {value!r}")
         if self.loss not in ("ce", "contrastive", "triplet", "quadruplet"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.similarity_map not in ("computed", "paper_fixture"):
@@ -483,12 +507,13 @@ class TrainConfig:
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         if "lambda" in d:
             d["pair_weight"] = d.pop("lambda")
-        if "adaptation_classes" in d:
-            d["adaptation_classes"] = tuple(d["adaptation_classes"])
-        if "conv_channels" in d:
-            d["conv_channels"] = tuple(d["conv_channels"])
+        for key in ("adaptation_classes", "conv_channels"):
+            if isinstance(d.get(key), list):
+                d[key] = tuple(d[key])
         known = {f for f in cls.__dataclass_fields__}
         extra = set(d) - known
         if extra:
@@ -607,6 +632,7 @@ def train(
     decay_mask = net.decay_mask()
     label_of = {c: i for i, c in enumerate(sorted(train_classes))}
 
+    k = min(config.episode_k_shot, min(len(v) for v in by_class.values()))
     epoch_losses = []
     for epoch in range(config.epochs):
         step_losses = []
@@ -614,8 +640,9 @@ def train(
             if use_head:
                 loss, grads = _ce_batch(net, train_corpus, sel, label_of)
             else:
-                k = min(config.episode_k_shot, min(len(v) for v in by_class.values()))
-                episode = sample_episode(train_corpus, train_classes, k, config.n_query, rng)
+                episode = _sample_episode(
+                    train_corpus, by_class, train_classes, k, config.n_query, rng
+                )
                 loss, grads = pn_episode_loss(net, episode)
             if config.loss != "ce":
                 ploss, pgrads = _pairwise_step(

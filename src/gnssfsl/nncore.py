@@ -104,13 +104,24 @@ def sgd_step(
 
 
 class _ConvRelu:
-    """3x3 convolution (padding 1) + bias + ReLU."""
+    """3x3 convolution (padding 1) + bias + ReLU.
 
-    def __init__(self, in_ch: int, out_ch: int):
+    Each of the nine taps is one BLAS product with fixed operand layouts:
+    forward (O,C)@(C,B*H*W), weight gradient (O,B*H*W)@(B*H*W,C), input
+    gradient (B*H*W,O)@(O,C), accumulated in row-major tap order. OpenBLAS
+    picks its kernel by shape, so these shapes and layouts fix the rounding;
+    fusing the taps into one larger product changes the low bits.
+
+    `input_grad=False` (the network's first layer, whose input is the image)
+    skips the input gradient, and backward returns None for it.
+    """
+
+    def __init__(self, in_ch: int, out_ch: int, input_grad: bool = True):
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.n_weights = out_ch * in_ch * 9
         self.n_params = self.n_weights + out_ch
+        self.input_grad = input_grad
 
     def init_params(self, rng: np.random.Generator, dtype) -> np.ndarray:
         bound = np.sqrt(6.0 / (self.in_ch * 9))
@@ -122,44 +133,70 @@ class _ConvRelu:
         m[: self.n_weights] = True
         return m
 
-    def forward(self, x, p):
+    def _tap_weights(self, p):
+        """(3, 3, O, C): one C-contiguous (O, C) weight matrix per tap."""
         w = p[: self.n_weights].reshape(self.out_ch, self.in_ch, 3, 3)
-        b = p[self.n_weights :]
-        bsz, _, h, wd = x.shape
-        xp = np.zeros((bsz, self.in_ch, h + 2, wd + 2), dtype=x.dtype)
-        xp[:, :, 1 : h + 1, 1 : wd + 1] = x
-        y = np.zeros((bsz, self.out_ch, h, wd), dtype=x.dtype)
-        for dy in range(3):
-            for dx in range(3):
-                xs = xp[:, :, dy : dy + h, dx : dx + wd]
-                # (O,C) . (B,C,H,W) over C -> (O,B,H,W)
-                y += np.tensordot(w[:, :, dy, dx], xs, axes=(1, 1)).transpose(1, 0, 2, 3)
-        y += b[None, :, None, None]
-        mask = y > 0
-        return y * mask, (xp, mask)
+        return np.ascontiguousarray(w.transpose(2, 3, 0, 1))
 
-    def backward(self, dy, p, cache):
-        xp, mask = cache
-        w = p[: self.n_weights].reshape(self.out_ch, self.in_ch, 3, 3)
-        dy = dy * mask
-        bsz = dy.shape[0]
-        h, wd = dy.shape[2], dy.shape[3]
-        dw = np.zeros_like(w)
-        dxp = np.zeros_like(xp)
+    def forward(self, x, p):
+        bsz, c, h, wd = x.shape
+        o, n = self.out_ch, bsz * h * wd
+        # Channel-major padded input: each tap is one slice copy to (C, B*H*W).
+        xp = np.zeros((c, bsz, h + 2, wd + 2), dtype=x.dtype)
+        xp[:, :, 1 : h + 1, 1 : wd + 1] = x.transpose(1, 0, 2, 3)
+        taps = self._tap_weights(p)
+        cols = np.empty((c, bsz, h, wd), dtype=x.dtype)
+        prod = np.empty((o, n), dtype=x.dtype)
+        acc = np.zeros((o, n), dtype=x.dtype)
         for ky in range(3):
             for kx in range(3):
-                xs = xp[:, :, ky : ky + h, kx : kx + wd]
-                dw[:, :, ky, kx] = np.tensordot(dy, xs, axes=([0, 2, 3], [0, 2, 3]))
-                dxp[:, :, ky : ky + h, kx : kx + wd] += np.tensordot(
-                    dy, w[:, :, ky, kx], axes=(1, 0)
-                ).transpose(0, 3, 1, 2)
+                np.copyto(cols, xp[:, :, ky : ky + h, kx : kx + wd])
+                np.dot(taps[ky, kx], cols.reshape(c, n), out=prod)
+                acc += prod
+        acc += p[self.n_weights :, None]
+        acc = acc.reshape(o, bsz, h, wd).transpose(1, 0, 2, 3)
+        y = prod.reshape(bsz, o, h, wd)  # the spent product buffer holds the NCHW output
+        np.multiply(acc, acc > 0, out=y)
+        return y, (x, y)
+
+    def backward(self, dy, p, cache):
+        x, y = cache
+        dy = dy * (y > 0)
+        bsz, o, h, wd = dy.shape
+        c = self.in_ch
         db = dy.sum(axis=(0, 2, 3))
-        dx = dxp[:, :, 1 : h + 1, 1 : wd + 1]
-        return dx, np.concatenate([dw.ravel(), db])
+        # Channels-last padded input: each tap is one slice copy to (B*H*W, C).
+        xp = np.zeros((bsz, h + 2, wd + 2, c), dtype=x.dtype)
+        xp[:, 1 : h + 1, 1 : wd + 1, :] = x.transpose(0, 2, 3, 1)
+        cols = np.empty((bsz, h, wd, c), dtype=x.dtype)
+        dw = np.empty((3, 3, o, c), dtype=x.dtype)
+        # reshape copies unless it can view; a batch of one gives a
+        # transposed view, and BLAS then runs that layout's kernel.
+        dy_om = dy.transpose(1, 0, 2, 3).reshape(o, -1)
+        if self.input_grad:
+            taps = self._tap_weights(p)
+            dy_cl = dy.transpose(0, 2, 3, 1).reshape(-1, o)
+            dxp = np.zeros_like(xp)
+            prod = np.empty((bsz, h, wd, c), dtype=x.dtype)
+        for ky in range(3):
+            for kx in range(3):
+                np.copyto(cols, xp[:, ky : ky + h, kx : kx + wd, :])
+                np.dot(dy_om, cols.reshape(-1, c), out=dw[ky, kx])
+                if self.input_grad:
+                    np.dot(dy_cl, taps[ky, kx], out=prod.reshape(-1, c))
+                    dxp[:, ky : ky + h, kx : kx + wd, :] += prod
+        dp = np.concatenate([dw.transpose(2, 3, 0, 1).ravel(), db])
+        if not self.input_grad:
+            return None, dp
+        return dxp[:, 1 : h + 1, 1 : wd + 1, :].transpose(0, 3, 1, 2), dp
 
 
 class _MaxPool2:
-    """2x2 max-pool, stride 2; odd trailing rows/cols are dropped."""
+    """2x2 max-pool, stride 2; odd trailing rows/cols are dropped.
+
+    Each window's gradient goes to its first maximum in row-major window
+    order, as argmax would send it.
+    """
 
     n_params = 0
 
@@ -169,27 +206,36 @@ class _MaxPool2:
     def decay_mask(self):
         return np.zeros(0, dtype=bool)
 
+    @staticmethod
+    def _taps(x):
+        """The four strided window taps, in row-major window order."""
+        h2, w2 = x.shape[2] // 2, x.shape[3] // 2
+        return [x[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
+
     def forward(self, x, p):
-        bsz, c, h, w = x.shape
-        h2, w2 = h // 2, w // 2
-        xc = x[:, :, : 2 * h2, : 2 * w2]
-        windows = xc.reshape(bsz, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5)
-        flat = windows.reshape(bsz, c, h2, w2, 4)
-        arg = flat.argmax(axis=-1)
-        y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-        return y, (x.shape, arg)
+        t = self._taps(x)
+        # np.maximum returns its second argument on a tie, so among equal
+        # maxima (+0.0 and -0.0) the earliest tap's value is kept, as argmax's.
+        y = np.maximum(t[1], t[0])
+        np.maximum(t[2], y, out=y)
+        np.maximum(t[3], y, out=y)
+        return y, (x, y)
 
     def backward(self, dy, p, cache):
-        (bsz, c, h, w), arg = cache
-        h2, w2 = h // 2, w // 2
-        dflat = np.zeros((bsz, c, h2, w2, 4), dtype=dy.dtype)
-        np.put_along_axis(dflat, arg[..., None], dy[..., None], axis=-1)
-        dx = np.zeros((bsz, c, h, w), dtype=dy.dtype)
-        dx[:, :, : 2 * h2, : 2 * w2] = (
-            dflat.reshape(bsz, c, h2, w2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(bsz, c, 2 * h2, 2 * w2)
-        )
+        x, y = cache
+        t = self._taps(x)
+        dx = np.zeros(x.shape, dtype=dy.dtype)
+        d = self._taps(dx)
+        hit = t[0] == y
+        np.multiply(dy, hit, out=d[0])
+        free = ~hit
+        for k in (1, 2):
+            hit = t[k] == y
+            hit &= free
+            np.multiply(dy, hit, out=d[k])
+            free &= ~hit
+        # The last tap takes every window whose maximum no earlier tap holds.
+        np.multiply(dy, free, out=d[3])
         return dx, np.zeros(0, dtype=dy.dtype)
 
 
@@ -252,7 +298,8 @@ class EmbeddingNetwork:
         in_ch = 2
         layers = []
         for out_ch in config.conv_channels:
-            layers.append(_ConvRelu(in_ch, out_ch))
+            # The first layer's input is the image: no gradient is taken for it.
+            layers.append(_ConvRelu(in_ch, out_ch, input_grad=bool(layers)))
             layers.append(_MaxPool2())
             in_ch = out_ch
         layers.append(_GlobalAvgPool())

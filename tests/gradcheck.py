@@ -3,7 +3,13 @@
 Instances are resampled until every ReLU pre-activation, pool-window gap, and
 hinge argument sits clear of its kink, so central differences see a smooth
 function. The conv reference below is an independent loop-based oracle.
+
+`RefConvRelu` and `RefMaxPool2` are the straightforward tensordot conv and
+argmax pool; nncore's layers must agree with them exactly (array_equal),
+not just to rounding.
 """
+
+import copy
 
 import numpy as np
 
@@ -73,6 +79,84 @@ def fast_conv_preact(x, w, b):
             xs = xp[:, :, dy : dy + h, dx : dx + wd]
             z += np.einsum("oc,bchw->bohw", w[:, :, dy, dx], xs)
     return z + b[None, :, None, None]
+
+
+class RefConvRelu(_ConvRelu):
+    """Reference conv: one tensordot per tap on NCHW arrays, always returns dx."""
+
+    def forward(self, x, p):
+        w = p[: self.n_weights].reshape(self.out_ch, self.in_ch, 3, 3)
+        b = p[self.n_weights :]
+        bsz, _, h, wd = x.shape
+        xp = np.zeros((bsz, self.in_ch, h + 2, wd + 2), dtype=x.dtype)
+        xp[:, :, 1 : h + 1, 1 : wd + 1] = x
+        y = np.zeros((bsz, self.out_ch, h, wd), dtype=x.dtype)
+        for dy in range(3):
+            for dx in range(3):
+                xs = xp[:, :, dy : dy + h, dx : dx + wd]
+                # (O,C) . (B,C,H,W) over C -> (O,B,H,W)
+                y += np.tensordot(w[:, :, dy, dx], xs, axes=(1, 1)).transpose(1, 0, 2, 3)
+        y += b[None, :, None, None]
+        mask = y > 0
+        return y * mask, (xp, mask)
+
+    def backward(self, dy, p, cache):
+        xp, mask = cache
+        w = p[: self.n_weights].reshape(self.out_ch, self.in_ch, 3, 3)
+        dy = dy * mask
+        h, wd = dy.shape[2], dy.shape[3]
+        dw = np.zeros_like(w)
+        dxp = np.zeros_like(xp)
+        for ky in range(3):
+            for kx in range(3):
+                xs = xp[:, :, ky : ky + h, kx : kx + wd]
+                dw[:, :, ky, kx] = np.tensordot(dy, xs, axes=([0, 2, 3], [0, 2, 3]))
+                dxp[:, :, ky : ky + h, kx : kx + wd] += np.tensordot(
+                    dy, w[:, :, ky, kx], axes=(1, 0)
+                ).transpose(0, 3, 1, 2)
+        db = dy.sum(axis=(0, 2, 3))
+        dx = dxp[:, :, 1 : h + 1, 1 : wd + 1]
+        return dx, np.concatenate([dw.ravel(), db])
+
+
+class RefMaxPool2(_MaxPool2):
+    """Reference pool: argmax over each flattened 2x2 window."""
+
+    def forward(self, x, p):
+        bsz, c, h, w = x.shape
+        h2, w2 = h // 2, w // 2
+        xc = x[:, :, : 2 * h2, : 2 * w2]
+        windows = xc.reshape(bsz, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5)
+        flat = windows.reshape(bsz, c, h2, w2, 4)
+        arg = flat.argmax(axis=-1)
+        y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+        return y, (x.shape, arg)
+
+    def backward(self, dy, p, cache):
+        (bsz, c, h, w), arg = cache
+        h2, w2 = h // 2, w // 2
+        dflat = np.zeros((bsz, c, h2, w2, 4), dtype=dy.dtype)
+        np.put_along_axis(dflat, arg[..., None], dy[..., None], axis=-1)
+        dx = np.zeros((bsz, c, h, w), dtype=dy.dtype)
+        dx[:, :, : 2 * h2, : 2 * w2] = (
+            dflat.reshape(bsz, c, h2, w2, 2, 2)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(bsz, c, 2 * h2, 2 * w2)
+        )
+        return dx, np.zeros(0, dtype=dy.dtype)
+
+
+def reference_network(net):
+    """A view of `net` (same parameter array) whose conv and pool layers are
+    the reference ones."""
+    ref = copy.copy(net)
+    ref._layers = [
+        RefConvRelu(layer.in_ch, layer.out_ch) if isinstance(layer, _ConvRelu)
+        else RefMaxPool2() if isinstance(layer, _MaxPool2)
+        else layer
+        for layer in net._layers
+    ]
+    return ref
 
 
 def _conv_instance(rng):

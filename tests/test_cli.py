@@ -267,6 +267,20 @@ class TestStageErrors:
         assert "missing upstream artifact" in err["message"]
         assert "manifest.json" in err["file"]
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"epochs": "x"}', '{"conv_channels": 5}', "[1, 2]"],
+        ids=["type", "tuple", "array"],
+    )
+    def test_malformed_config_exits_with_json_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = cli.main(["train", "--run", str(tmp_path), "--config", str(bad)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "config" in err["message"]
+
     def test_mine_requires_ensemble(self, tmp_path, capsys):
         cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS])
         rc = cli.main(["mine", "--run", str(tmp_path)])

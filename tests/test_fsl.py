@@ -1,7 +1,10 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradcheck
 from gnssfsl import fsl
@@ -354,6 +357,13 @@ class TestTrain:
         np.testing.assert_array_equal(a.network.params, b.network.params)
         assert a.epoch_losses == b.epoch_losses
 
+    def test_class_index_built_once_per_call(self, tiny_corpus, quick_config, monkeypatch):
+        calls = []
+        index = fsl._class_index
+        monkeypatch.setattr(fsl, "_class_index", lambda corpus: calls.append(1) or index(corpus))
+        train(tiny_corpus, quick_config)  # 2 epochs x 3 episodes
+        assert len(calls) == 1
+
     def test_loss_decreases(self, tiny_corpus):
         cfg = TrainConfig(
             loss="ce",
@@ -510,6 +520,20 @@ class TestIsometryInvariance:
             assert argmin_labels(rotated_protos, rotated_queries) == base
 
 
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 70)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["ce", "quadruplet", "f32", "f64", "computed", "episodic", "l2"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestConfig:
     def test_json_round_trip_with_lambda_key(self):
         cfg = TrainConfig(loss="quadruplet", pair_weight=0.5, alpha1=2.0, alpha2=5.0)
@@ -531,3 +555,41 @@ class TestConfig:
             TrainConfig(similarity_map="guessed")
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"epochs": "x"}',
+            '{"conv_channels": 5}',
+            '{"conv_channels": [4, true]}',
+            '{"adaptation_classes": "3"}',
+            '{"seed": 1.5}',
+            '{"lr": null}',
+            '{"loss": 1}',
+            "[1, 2]",
+            '"ce"',
+        ],
+    )
+    def test_malformed_document_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            TrainConfig.from_json(text)
+
+    def test_ints_accepted_for_float_fields(self):
+        assert TrainConfig.from_json('{"alpha": 3, "lr": 1}').alpha == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            _JSON_VALUES,
+            st.dictionaries(
+                st.sampled_from(sorted(TrainConfig.__dataclass_fields__) + ["lambda"]),
+                _JSON_VALUES,
+                max_size=6,
+            ),
+        )
+    )
+    def test_from_json_fuzz_raises_only_value_error(self, doc):
+        try:
+            TrainConfig.from_json(json.dumps(doc)).arch()
+        except ValueError:
+            pass

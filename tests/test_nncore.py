@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ import gradcheck
 from gnssfsl import nncore
 from gnssfsl.nncore import (
     ArchConfig,
+    _ConvRelu,
+    _MaxPool2,
     init,
     load_checkpoint,
     save_checkpoint,
@@ -13,6 +17,9 @@ from gnssfsl.nncore import (
 )
 
 SMALL = ArchConfig(height=8, width=8, conv_channels=(2, 3), embed_dim=4, dtype="f64")
+# The benchmark architecture, and the batch sizes training and mining issue.
+BENCH = ArchConfig(conv_channels=(8, 16, 32), embed_dim=32)
+EXACT_BATCHES = (1, 14, 18, 24, 27, 32, 400)
 
 
 class TestInit:
@@ -126,6 +133,155 @@ class TestBackward:
         z = gradcheck.naive_conv_preact(x, w, p[layer.n_weights :])
         y, _ = layer.forward(x, p)
         np.testing.assert_allclose(y, np.maximum(z, 0.0), rtol=1e-10, atol=1e-12)
+
+
+def _assert_identical(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+
+
+def _perturbed(cfg, seed):
+    """Network with its zero-init biases moved off zero, and an image batch."""
+    net = init(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    net.params = net.params + rng.normal(scale=0.05, size=net.n_params).astype(net.params.dtype)
+    return net, rng
+
+
+def _check_network_against_reference(net, rng, batch, with_head=False):
+    cfg = net.config
+    x = rng.integers(0, 256, size=(batch, cfg.height, cfg.width)).astype(np.uint8)
+    ref = gradcheck.reference_network(net)
+    out, cache = net.forward_with_cache(x, with_head=with_head)
+    out_ref, cache_ref = ref.forward_with_cache(x, with_head=with_head)
+    _assert_identical(out, out_ref)
+    up = rng.normal(size=out.shape)
+    _assert_identical(net.backward_from(cache, up), ref.backward_from(cache_ref, up))
+
+
+class TestBitExact:
+    """The conv and pool layers reproduce the tensordot/argmax reference exactly."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("batch", EXACT_BATCHES)
+    def test_layers_match_reference(self, dtype, batch):
+        net, rng = _perturbed(replace(BENCH, dtype=dtype), batch)
+        x = net._prepare_batch(rng.integers(0, 256, size=(batch, 32, 32)).astype(np.uint8))
+        for i, layer in enumerate(net._layers[: net._embed_index]):
+            p = net.params[net._param_slice(i)]
+            if isinstance(layer, _ConvRelu):
+                fast = _ConvRelu(layer.in_ch, layer.out_ch)  # with dx, also for layer 0
+                ref = gradcheck.RefConvRelu(layer.in_ch, layer.out_ch)
+            elif isinstance(layer, _MaxPool2):
+                fast, ref = layer, gradcheck.RefMaxPool2()
+            else:
+                x = layer.forward(x, p)[0]
+                continue
+            y, cache = fast.forward(x, p)
+            y_ref, cache_ref = ref.forward(x, p)
+            _assert_identical(y, y_ref)
+            dy = rng.normal(size=y.shape).astype(y.dtype)
+            dx, dp = fast.backward(dy, p, cache)
+            dx_ref, dp_ref = ref.backward(dy, p, cache_ref)
+            _assert_identical(dx, dx_ref)
+            _assert_identical(dp, dp_ref)
+            x = y
+
+    # In f64 at batch 1, a (2 -> 16) conv's input gradient rounds differently
+    # when its (B*H*W, O) operand is made C-contiguous instead of staying the
+    # transposed view that reshape gives; the reference keeps the view.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c, o, hw", [(2, 16, 5), (2, 16, 16), (3, 5, 15), (8, 16, 7)])
+    @pytest.mark.parametrize("batch", (1, 5))
+    def test_conv_shapes_match_reference(self, dtype, c, o, hw, batch):
+        rng = np.random.default_rng(c * o * hw + batch)
+        fast, ref = _ConvRelu(c, o), gradcheck.RefConvRelu(c, o)
+        p = rng.uniform(-0.5, 0.5, size=fast.n_params).astype(dtype)
+        x = rng.normal(size=(batch, c, hw, hw)).astype(dtype)
+        y, cache = fast.forward(x, p)
+        y_ref, cache_ref = ref.forward(x, p)
+        _assert_identical(y, y_ref)
+        dy = rng.normal(size=y.shape).astype(dtype)
+        for got, want in zip(fast.backward(dy, p, cache), ref.backward(dy, p, cache_ref)):
+            _assert_identical(got, want)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("batch", EXACT_BATCHES)
+    def test_network_matches_reference(self, dtype, batch):
+        net, rng = _perturbed(replace(BENCH, dtype=dtype), 100 + batch)
+        _check_network_against_reference(net, rng, batch)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("batch", (1, 5, 14))
+    def test_odd_input_and_small_net(self, dtype, batch):
+        cfg = ArchConfig(
+            height=31, width=33, conv_channels=(3, 5), embed_dim=6, num_classes=4, dtype=dtype
+        )
+        net, rng = _perturbed(cfg, 200 + batch)
+        _check_network_against_reference(net, rng, batch, with_head=True)
+
+    def test_zero_init_biases(self):
+        # Zero biases leave whole windows at exactly zero after the ReLU.
+        net = init(BENCH, seed=1)
+        _check_network_against_reference(net, np.random.default_rng(1), 14)
+
+
+class TestMaxPoolTies:
+    @staticmethod
+    def _grad(x):
+        pool = _MaxPool2()
+        y, cache = pool.forward(x, None)
+        dx, _ = pool.backward(np.ones_like(y), None, cache)
+        return y, dx
+
+    @pytest.mark.parametrize(
+        "window, first",
+        [
+            ([[1.0, 3.0], [3.0, 2.0]], (0, 1)),
+            ([[3.0, 1.0], [2.0, 3.0]], (0, 0)),
+            ([[0.5, 1.0], [1.0, 1.0]], (0, 1)),
+            ([[0.0, 0.5], [2.0, 2.0]], (1, 0)),
+        ],
+    )
+    def test_tie_goes_to_first_in_row_major_order(self, window, first):
+        x = np.array(window)[None, None]
+        y, dx = self._grad(x)
+        assert y[0, 0, 0, 0] == x.max()
+        expect = np.zeros((2, 2))
+        expect[first] = 1.0
+        np.testing.assert_array_equal(dx[0, 0], expect)
+
+    def test_all_zero_window_matches_reference(self):
+        # Post-ReLU zeros are +0.0 or -0.0; the output keeps the first
+        # element's sign and the gradient goes to the first element.
+        x = np.array([[[[-0.0, 0.0, 0.0, -0.0], [0.0, -0.0, -0.0, 0.0]]]], dtype=np.float32)
+        dy = np.array([[[[-1.5, 2.0]]]], dtype=np.float32)
+        pool, ref = _MaxPool2(), gradcheck.RefMaxPool2()
+        y, cache = pool.forward(x, None)
+        y_ref, cache_ref = ref.forward(x, None)
+        assert y.tobytes() == np.ascontiguousarray(y_ref).tobytes()
+        dx, _ = pool.backward(dy, None, cache)
+        dx_ref, _ = ref.backward(dy, None, cache_ref)
+        _assert_identical(dx, dx_ref)
+        np.testing.assert_array_equal(dx[0, 0], [[-1.5, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+
+
+class TestFirstLayer:
+    def test_first_conv_computes_no_input_gradient(self):
+        net = init(SMALL, seed=30)
+        convs = [layer for layer in net._layers if isinstance(layer, _ConvRelu)]
+        assert [c.input_grad for c in convs] == [False, True]
+        x = net._prepare_batch(np.zeros((2, 8, 8), dtype=np.uint8))
+        _, cache = convs[0].forward(x, net.params[net._param_slice(0)])
+        dx, dp = convs[0].backward(np.ones((2, 2, 8, 8)), net.params[net._param_slice(0)], cache)
+        assert dx is None
+        assert dp.shape == (convs[0].n_params,)
+
+    def test_gradcheck_conv_instance_checks_dx(self):
+        rng = np.random.default_rng(31)
+        layer, _, _ = gradcheck.LAYER_INSTANCES["conv_relu"](rng)
+        assert layer.input_grad
+        assert gradcheck.check_layer("conv_relu", rng) < 1e-4
 
 
 class TestSoftmaxNormalize:
