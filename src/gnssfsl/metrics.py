@@ -187,13 +187,19 @@ def tsne(
     exaggeration_iters: int = 100,
     return_info: bool = False,
 ):
-    """Dense t-SNE to 2-D with the classic momentum/gain schedule."""
+    """Dense t-SNE to 2-D with the classic momentum/gain schedule.
+
+    Returns the (n, 2) points, or `(points, TsneResult)` when `return_info`
+    is set; the KL objective is evaluated only in that case.
+    """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected (n, d) embeddings, got {x.shape}")
     n = x.shape[0]
     if not np.all(np.isfinite(x)):
         raise ValueError("embeddings contain non-finite values")
+    if not perplexity > 0:
+        raise ValueError(f"perplexity must be positive, got {perplexity}")
     if n <= 3 * perplexity:
         raise ValueError(f"need n > 3*perplexity, got n={n}, perplexity={perplexity}")
 
@@ -211,27 +217,51 @@ def tsne(
 
     p_run = p * early_exaggeration
     kl_log = []
+    # n x n work buffers reused by every iteration: the Gram matrix y y^T
+    # (then scratch for the KL term), the Student-t kernel, and q (then the
+    # gradient matrix). Each step keeps the operand order of the plain
+    # expressions (tests/tsne_reference.py), so the result is bit-for-bit
+    # theirs.
+    yy = np.empty((n, n))
+    num = np.empty((n, n))
+    q = np.empty((n, n))
     for it in range(iters):
         if it == exaggeration_iters:
             p_run = p
         ysq = np.sum(y**2, axis=1)
-        num = 1.0 / (1.0 + ysq[:, None] + ysq[None, :] - 2.0 * (y @ y.T))
+        # num = 1 / (1 + ysq_i + ysq_j - 2 y_i.y_j), zero on the diagonal
+        np.matmul(y, y.T, out=yy)
+        np.add(1.0 + ysq[:, None], ysq[None, :], out=num)
+        yy *= 2.0
+        num -= yy
+        np.divide(1.0, num, out=num)
         np.fill_diagonal(num, 0.0)
-        q = np.maximum(num / num.sum(), _EPS)
+        np.divide(num, num.sum(), out=q)
+        np.maximum(q, _EPS, out=q)
 
-        # Objective tracked against the true P even while exaggeration is on.
-        kl_log.append(float(np.sum(p * np.log(p / q))))
+        if return_info:
+            # Objective tracked against the true P even while exaggeration is on.
+            np.divide(p, q, out=yy)
+            np.log(yy, out=yy)
+            yy *= p
+            kl_log.append(float(yy.sum()))
 
-        pq = (p_run - q) * num
-        grad = 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
+        # pq = (p_run - q) * num; the gradient matrix is diag(rowsum(pq)) - pq.
+        pq = np.subtract(p_run, q, out=q)
+        pq *= num
+        diag = pq.sum(axis=1) - pq.diagonal()
+        np.subtract(0.0, pq, out=pq)
+        np.fill_diagonal(pq, diag)
+        grad = 4.0 * (pq @ y)
 
         momentum = initial_momentum if it < momentum_switch_iter else final_momentum
         flip = np.sign(grad) != np.sign(velocity)
         gains = np.where(flip, gains + 0.2, gains * 0.8)
-        gains = np.maximum(gains, 0.01)
-        velocity = momentum * velocity - learning_rate * gains * grad
-        y = y + velocity
-        y = y - y.mean(axis=0)
+        np.maximum(gains, 0.01, out=gains)
+        velocity *= momentum
+        velocity -= learning_rate * gains * grad
+        y += velocity
+        y -= y.mean(axis=0)
 
     if return_info:
         return y, TsneResult(y, kl_log)

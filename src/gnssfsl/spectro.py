@@ -9,6 +9,7 @@ manifest.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -134,8 +135,11 @@ def encode_image(image: SpectrogramImage) -> bytes:
 
 
 def decode_image(data: bytes, label: Optional[int] = None) -> SpectrogramImage:
+    """Parse GNSSIMG1 bytes; any malformed input raises ValueError."""
     if data[:8] != IMAGE_MAGIC:
         raise ValueError(f"bad magic {data[:8]!r}, expected {IMAGE_MAGIC!r}")
+    if len(data) < 16:
+        raise ValueError(f"truncated image header: {len(data)} bytes, expected at least 16")
     h, w = struct.unpack("<II", data[8:16])
     expected = 16 + h * w
     if len(data) != expected:
@@ -149,7 +153,8 @@ def write_image(image: SpectrogramImage, path: str | Path) -> None:
 
 
 def read_image(path: str | Path, label: Optional[int] = None) -> SpectrogramImage:
-    return decode_image(Path(path).read_bytes(), label)
+    with open(path, "rb") as fh:
+        return decode_image(fh.read(), label)
 
 
 @dataclass
@@ -209,6 +214,7 @@ def save_manifest(corpus: LabeledCorpus, path: str | Path) -> None:
 def load_corpus(manifest_path: str | Path, load_images: bool = True) -> LabeledCorpus:
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
+    root_dir = str(root)  # os.path.join is far cheaper than Path / per file
     entries = json.loads(manifest_path.read_text())
     records = []
     for e in entries:
@@ -220,6 +226,6 @@ def load_corpus(manifest_path: str | Path, load_images: bool = True) -> LabeledC
             jammer_params=e.get("jammer_params", {}),
         )
         if load_images:
-            rec.image = read_image(root / rec.file, rec.label)
+            rec.image = read_image(os.path.join(root_dir, rec.file), rec.label)
         records.append(rec)
     return LabeledCorpus(records, root)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,19 @@ class TestStageErrors:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
+
+    @pytest.mark.parametrize("keep", [12, 20], ids=["header", "pixels"])
+    def test_eval_on_truncated_corpus_image(self, pipeline_run, tmp_path, capsys, keep):
+        src, cfg_ce, _ = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(src, run)
+        img = sorted((run / "corpus").glob("*.img"))[0]
+        img.write_bytes(img.read_bytes()[:keep])
+        rc = cli.main(["eval", "--run", str(run), "--config", str(cfg_ce)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "truncated" in err["message"]
 
     def test_non_finite_gradient_keeps_rescue_checkpoint(
         self, pipeline_run, monkeypatch, capsys

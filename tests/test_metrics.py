@@ -12,6 +12,7 @@ from gnssfsl.metrics import (
     write_metrics_csv,
     write_points_csv,
 )
+from tsne_reference import ref_tsne
 
 
 def hand_rolled_silhouette(points: np.ndarray, labels: np.ndarray) -> float:
@@ -190,6 +191,47 @@ class TestTsne:
         x[0, 0] = np.nan
         with pytest.raises(ValueError):
             tsne(x, perplexity=5.0, iters=10, seed=0)
+
+    # (1, -1e-9) is what the embed stage passes for a one-image test split:
+    # it caps perplexity at (n - 1) / 3 - 1e-9.
+    @pytest.mark.parametrize(
+        "n, perplexity", [(1, -1e-9), (20, 0.0), (20, -5.0), (20, float("nan"))]
+    )
+    def test_non_positive_perplexity_rejected(self, n, perplexity):
+        x = np.random.default_rng(6).normal(size=(n, 4))
+        with pytest.raises(ValueError, match="perplexity"):
+            tsne(x, perplexity=perplexity, iters=10, seed=0)
+
+
+class TestTsneMatchesReference:
+    """metrics.tsne equals the allocating reference loop bit for bit.
+
+    iters below 100 stay in early exaggeration, 100-250 cross the
+    exaggeration switch, above 250 also cross the momentum switch.
+    """
+
+    @pytest.mark.parametrize(
+        "n, dtype, perplexity, seed, iters",
+        [
+            (40, np.float64, 5.0, 0, 60),
+            (40, np.float32, 12.0, 3, 300),
+            (100, np.float64, 30.0, 1, 180),
+            (100, np.float32, 10.0, 7, 260),
+            (416, np.float32, 30.0, 42, 270),
+            (416, np.float64, 50.0, 5, 120),
+        ],
+    )
+    def test_points_and_kl_identical(self, n, dtype, perplexity, seed, iters):
+        rng = np.random.default_rng(n + seed)
+        centers = rng.normal(scale=4.0, size=(11, 32))
+        x = (centers[rng.integers(0, 11, size=n)] + rng.normal(size=(n, 32))).astype(dtype)
+        ref_points, ref_kl = ref_tsne(x, perplexity=perplexity, iters=iters, seed=seed)
+
+        points, info = tsne(x, perplexity=perplexity, iters=iters, seed=seed, return_info=True)
+        assert np.array_equal(points, ref_points)
+        assert info.kl_divergences == ref_kl
+        plain = tsne(x, perplexity=perplexity, iters=iters, seed=seed)
+        assert np.array_equal(plain, ref_points)
 
 
 class TestCsv:

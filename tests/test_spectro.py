@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,33 @@ class TestImageFormat:
         data = encode_image(img)
         with pytest.raises(ValueError):
             decode_image(data[:-1])
+
+    @pytest.mark.parametrize("extra", [0, 4, 7])
+    def test_short_header_rejected(self, extra):
+        with pytest.raises(ValueError, match="header"):
+            decode_image(spectro.IMAGE_MAGIC + b"\0" * extra)
+
+    @given(
+        data=st.one_of(
+            st.binary(max_size=64),
+            st.binary(max_size=24).map(lambda b: spectro.IMAGE_MAGIC + b),
+            st.tuples(
+                st.integers(0, 6), st.integers(0, 6), st.integers(-2, 2)
+            ).map(
+                lambda t: spectro.IMAGE_MAGIC
+                + struct.pack("<II", t[0], t[1])
+                + b"\x07" * max(0, t[0] * t[1] + t[2])
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decode_fuzz_raises_only_value_error(self, data):
+        try:
+            img = decode_image(data)
+        except ValueError:
+            return
+        assert len(data) == 16 + img.pixels.size
+        assert encode_image(img) == data
 
 
 class TestManifest:
