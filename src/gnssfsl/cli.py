@@ -288,10 +288,28 @@ def _manifest_path(run_dir: Path) -> Path:
 
 
 def _load_manifest(run_dir: Path) -> dict:
+    """The run manifest; ValueError unless it has the shape the stages read."""
     path = _manifest_path(run_dir)
-    if path.exists():
-        return json.loads(path.read_text())
-    return {"stages": []}
+    if not path.exists():
+        return {"stages": []}
+    manifest = json.loads(path.read_text())
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(stages, list):
+        raise ValueError(f"{path}: run manifest must be an object with a 'stages' list")
+    for i, entry in enumerate(stages):
+        artifacts = entry.get("artifacts", {}) if isinstance(entry, dict) else None
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("stage"), str)
+            and isinstance(entry.get("hash"), str)
+            and isinstance(artifacts, dict)
+            and all(isinstance(v, str) for v in artifacts.values())
+        ):
+            raise ValueError(
+                f"{path}: stage {i} must be an object with str 'stage' and 'hash' "
+                "and an optional 'artifacts' object of str paths"
+            )
+    return manifest
 
 
 def _append_stage(run_dir: Path, entry: dict) -> None:

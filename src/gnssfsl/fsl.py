@@ -22,6 +22,7 @@ from . import losses as losses_mod
 from .nncore import (
     ArchConfig,
     EmbeddingNetwork,
+    _is_int,
     init,
     sgd_step,
     softmax_backward,
@@ -432,10 +433,6 @@ def sample_triplet_indices(
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 # TrainConfig's field annotations (strings under postponed evaluation) ->

@@ -11,6 +11,7 @@ when gradients are checked against finite differences.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,15 @@ import numpy as np
 CHECKPOINT_MAGIC = b"GNSSNET1"
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
+
+# Images per conv-forward tile. At 16, layer 0's tile buffers of the bench
+# architecture take about 1.3 MB, inside a 2 MB per-core L2; 8 and 24 ran as
+# fast, 32 slower.
+_TILE_IMAGES = 16
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -33,6 +43,19 @@ class ArchConfig:
     dtype: str = "f32"
 
     def __post_init__(self):
+        for name in ("height", "width", "embed_dim") + (
+            ("num_classes",) if self.num_classes is not None else ()
+        ):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.conv_channels, tuple) or not all(
+            _is_int(c) and c > 0 for c in self.conv_channels
+        ):
+            raise ValueError(
+                f"conv_channels must be a tuple of positive integers, got {self.conv_channels!r}"
+            )
+        if not isinstance(self.dtype, str):
+            raise ValueError(f"dtype must be a string, got {self.dtype!r}")
         if self.height <= 0 or self.width <= 0:
             raise ValueError(f"bad input dims {self.height}x{self.width}")
         if self.embed_dim <= 0:
@@ -139,24 +162,34 @@ class _ConvRelu:
         return np.ascontiguousarray(w.transpose(2, 3, 0, 1))
 
     def forward(self, x, p):
+        # Tiles of _TILE_IMAGES keep the padded input, tap columns, product
+        # and accumulator cache-resident. A tap product's columns do not
+        # depend on the other images, so tiling leaves every output bit as is.
         bsz, c, h, wd = x.shape
-        o, n = self.out_ch, bsz * h * wd
-        # Channel-major padded input: each tap is one slice copy to (C, B*H*W).
-        xp = np.zeros((c, bsz, h + 2, wd + 2), dtype=x.dtype)
-        xp[:, :, 1 : h + 1, 1 : wd + 1] = x.transpose(1, 0, 2, 3)
+        o = self.out_ch
         taps = self._tap_weights(p)
-        cols = np.empty((c, bsz, h, wd), dtype=x.dtype)
-        prod = np.empty((o, n), dtype=x.dtype)
-        acc = np.zeros((o, n), dtype=x.dtype)
-        for ky in range(3):
-            for kx in range(3):
-                np.copyto(cols, xp[:, :, ky : ky + h, kx : kx + wd])
-                np.dot(taps[ky, kx], cols.reshape(c, n), out=prod)
-                acc += prod
-        acc += p[self.n_weights :, None]
-        acc = acc.reshape(o, bsz, h, wd).transpose(1, 0, 2, 3)
-        y = prod.reshape(bsz, o, h, wd)  # the spent product buffer holds the NCHW output
-        np.multiply(acc, acc > 0, out=y)
+        bias = p[self.n_weights :, None]
+        y = np.empty((bsz, o, h, wd), dtype=x.dtype)
+        t = 0
+        for start in range(0, bsz, _TILE_IMAGES):
+            xt = x[start : start + _TILE_IMAGES]
+            if len(xt) != t:  # the first tile, and a shorter tail tile
+                t, n = len(xt), len(xt) * h * wd
+                # Channel-major padded input: each tap is one slice copy to (C, t*H*W).
+                xp = np.zeros((c, t, h + 2, wd + 2), dtype=x.dtype)
+                cols = np.empty((c, t, h, wd), dtype=x.dtype)
+                prod = np.empty((o, n), dtype=x.dtype)
+                acc = np.empty((o, n), dtype=x.dtype)
+            xp[:, :, 1 : h + 1, 1 : wd + 1] = xt.transpose(1, 0, 2, 3)
+            acc.fill(0)
+            for ky in range(3):
+                for kx in range(3):
+                    np.copyto(cols, xp[:, :, ky : ky + h, kx : kx + wd])
+                    np.dot(taps[ky, kx], cols.reshape(c, n), out=prod)
+                    acc += prod
+            acc += bias
+            a = acc.reshape(o, t, h, wd).transpose(1, 0, 2, 3)
+            np.multiply(a, a > 0, out=y[start : start + t])
         return y, (x, y)
 
     def backward(self, dy, p, cache):
@@ -288,27 +321,32 @@ class _Dense:
         return dx, np.concatenate([dw.ravel(), db])
 
 
+def _build_layers(config: ArchConfig) -> list:
+    """[conv, pool] per block, global average pool, embedding, optional head."""
+    # Input channels: the image plus a fixed frequency-coordinate plane.
+    in_ch = 2
+    layers = []
+    for out_ch in config.conv_channels:
+        # The first layer's input is the image: no gradient is taken for it.
+        layers.append(_ConvRelu(in_ch, out_ch, input_grad=bool(layers)))
+        layers.append(_MaxPool2())
+        in_ch = out_ch
+    layers.append(_GlobalAvgPool())
+    layers.append(_Dense(in_ch, config.embed_dim))
+    if config.num_classes is not None:
+        layers.append(_Dense(config.embed_dim, config.num_classes))
+    return layers
+
+
 class EmbeddingNetwork:
     """Feature extractor f(X) with flat parameters and exact gradients."""
 
     def __init__(self, config: ArchConfig, seed: int):
         self.config = config
         self.seed = seed
-        # Input channels: the image plus a fixed frequency-coordinate plane.
-        in_ch = 2
-        layers = []
-        for out_ch in config.conv_channels:
-            # The first layer's input is the image: no gradient is taken for it.
-            layers.append(_ConvRelu(in_ch, out_ch, input_grad=bool(layers)))
-            layers.append(_MaxPool2())
-            in_ch = out_ch
-        layers.append(_GlobalAvgPool())
-        self._embed_index = len(layers)
-        layers.append(_Dense(in_ch, config.embed_dim))
-        self._head_index = None
-        if config.num_classes is not None:
-            self._head_index = len(layers)
-            layers.append(_Dense(config.embed_dim, config.num_classes))
+        layers = _build_layers(config)
+        self._embed_index = 2 * len(config.conv_channels) + 1
+        self._head_index = None if config.num_classes is None else self._embed_index + 1
         self._layers = layers
         self._offsets = np.cumsum([0] + [l.n_params for l in layers])
         self.n_params = int(self._offsets[-1])
@@ -390,6 +428,9 @@ def init(config: ArchConfig, seed: int) -> EmbeddingNetwork:
     return EmbeddingNetwork(config, seed)
 
 
+_HEADER_FIELDS = {"height", "width", "conv_channels", "embed_dim", "num_classes", "dtype"}
+
+
 def _wire_dtype(config: ArchConfig) -> np.dtype:
     return np.dtype(config.np_dtype).newbyteorder("<")
 
@@ -427,24 +468,34 @@ def load_checkpoint(path: str | Path) -> EmbeddingNetwork:
     if len(data) < preamble + hlen:
         raise ValueError(f"checkpoint header declares {hlen} bytes, file is truncated")
     header = json.loads(data[preamble : preamble + hlen].decode("utf-8"))
-    try:
-        config = ArchConfig(
-            height=header["height"],
-            width=header["width"],
-            conv_channels=tuple(header["conv_channels"]),
-            embed_dim=header["embed_dim"],
-            num_classes=header["num_classes"],
-            dtype=header["dtype"],
-        )
-        net = EmbeddingNetwork(config, header.get("seed", 0))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad checkpoint header: {exc!r}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint header must be a JSON object, got {type(header).__name__}")
+    missing = sorted(_HEADER_FIELDS - set(header))
+    if missing:
+        raise ValueError(f"checkpoint header lacks {missing}")
+    if not isinstance(header["conv_channels"], list):
+        raise ValueError(f"checkpoint conv_channels must be a list, got {header['conv_channels']!r}")
+    seed = header.get("seed", 0)
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
+    config = ArchConfig(
+        height=header["height"],
+        width=header["width"],
+        conv_channels=tuple(header["conv_channels"]),
+        embed_dim=header["embed_dim"],
+        num_classes=header["num_classes"],
+        dtype=header["dtype"],
+    )
+    # Check the payload against the header's parameter count before anything
+    # is allocated: a forged header can declare any architecture size.
+    n_params = sum(layer.n_params for layer in _build_layers(config))
     wire = _wire_dtype(config)
     payload = data[preamble + hlen :]
-    if len(payload) != net.n_params * wire.itemsize:
+    if len(payload) != n_params * wire.itemsize:
         raise ValueError(
             f"checkpoint payload is {len(payload)} bytes, architecture needs "
-            f"{net.n_params} {config.dtype} parameters ({net.n_params * wire.itemsize} bytes)"
+            f"{n_params} {config.dtype} parameters ({n_params * wire.itemsize} bytes)"
         )
+    net = EmbeddingNetwork(config, seed)
     net.params = np.frombuffer(payload, dtype=wire).astype(config.np_dtype)
     return net

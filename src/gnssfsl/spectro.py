@@ -216,13 +216,27 @@ def load_corpus(manifest_path: str | Path, load_images: bool = True) -> LabeledC
     root = manifest_path.parent
     root_dir = str(root)  # os.path.join is far cheaper than Path / per file
     entries = json.loads(manifest_path.read_text())
+    if not isinstance(entries, list):
+        raise ValueError(f"{manifest_path}: corpus manifest must be a JSON list")
     records = []
-    for e in entries:
+    for i, e in enumerate(entries):
+        if not (
+            isinstance(e, dict)
+            and isinstance(e.get("file"), str)
+            and type(e.get("label")) is int  # JSON true/false are bool, not int
+            and isinstance(e.get("split"), str)
+            and type(e.get("seed")) is int
+            and isinstance(e.get("jammer_params", {}), dict)
+        ):
+            raise ValueError(
+                f"{manifest_path}: entry {i} must be an object with str 'file', int "
+                "'label', str 'split', int 'seed' and an optional 'jammer_params' object"
+            )
         rec = CorpusRecord(
             file=e["file"],
-            label=int(e["label"]),
+            label=e["label"],
             split=e["split"],
-            seed=int(e["seed"]),
+            seed=e["seed"],
             jammer_params=e.get("jammer_params", {}),
         )
         if load_images:

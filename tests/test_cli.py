@@ -1,11 +1,15 @@
 import hashlib
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jsonfuzz import json_values
 from gnssfsl import cli, fsl, nncore, uncertainty
 from gnssfsl.cli import class_counts, identity_hash
 from gnssfsl.spectro import load_corpus
@@ -341,6 +345,38 @@ class TestStageErrors:
         assert Path(err["checkpoint"]).exists()
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [{"label": 1, "split": "test", "seed": 3}],
+            {"a": 1},
+            [1, 2],
+            [{"file": 5, "label": 1, "split": "test", "seed": 3}],
+        ],
+        ids=["no-file", "object", "ints", "file-type"],
+    )
+    def test_malformed_corpus_manifest_exits_with_json_error(self, tmp_path, capsys, doc):
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / "corpus" / "manifest.json").write_text(json.dumps(doc))
+        cfg = quick_config_file(tmp_path)
+        rc = cli.main(["eval", "--run", str(tmp_path), "--config", str(cfg)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "manifest.json" in err["message"]
+
+    @pytest.mark.parametrize(
+        "doc", [[], {"stages": 5}, {"stages": [{"x": 1}]}], ids=["array", "stages", "entry"]
+    )
+    def test_malformed_run_manifest_exits_with_json_error(self, tmp_path, capsys, doc):
+        (tmp_path / "run_manifest.json").write_text(json.dumps(doc))
+        rc = cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "run_manifest.json" in err["message"]
+
+
 class TestRunManifest:
     def test_failed_write_leaves_previous_manifest(self, tmp_path, monkeypatch):
         cli._append_stage(tmp_path, {"stage": "first"})
@@ -358,6 +394,35 @@ class TestRunManifest:
         monkeypatch.undo()
         assert manifest.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["run_manifest.json"]
+
+    @given(
+        doc=st.one_of(
+            json_values("stages"),
+            st.fixed_dictionaries({"stages": st.lists(json_values("stage", "hash"), max_size=3)}),
+            st.fixed_dictionaries(
+                {
+                    "stages": st.lists(
+                        st.dictionaries(
+                            st.sampled_from(["stage", "hash", "artifacts", "prev_hash"]),
+                            json_values("train:ce"),
+                            max_size=4,
+                        ),
+                        max_size=3,
+                    )
+                }
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_load_manifest_fuzz_raises_only_value_error(self, doc):
+        with tempfile.TemporaryDirectory() as d:
+            (Path(d) / "run_manifest.json").write_text(json.dumps(doc))
+            try:
+                cli._find_stage(Path(d), "train:ce")
+                cli._check_identity(Path(d), "ce", fsl.TrainConfig(), force=False)
+                cli._append_stage(Path(d), {"stage": "next"})
+            except ValueError:
+                return
 
 
 class TestIdentityHash:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradcheck
+from jsonfuzz import json_values
 from gnssfsl import fsl
 from gnssfsl.fsl import (
     Episode,
@@ -520,18 +521,7 @@ class TestIsometryInvariance:
             assert argmin_labels(rotated_protos, rotated_queries) == base
 
 
-_JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-5, 70)
-    | st.integers()
-    | st.floats()
-    | st.text(max_size=4)
-    | st.sampled_from(["ce", "quadruplet", "f32", "f64", "computed", "episodic", "l2"]),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=4), children, max_size=3),
-    max_leaves=8,
-)
+_JSON_VALUES = json_values("ce", "quadruplet", "f32", "f64", "computed", "episodic", "l2")
 
 
 class TestConfig:

@@ -1,9 +1,17 @@
+import json
+import struct
+import tempfile
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradcheck
+from jsonfuzz import json_values
 from gnssfsl import nncore
 from gnssfsl.nncore import (
     ArchConfig,
@@ -17,9 +25,12 @@ from gnssfsl.nncore import (
 )
 
 SMALL = ArchConfig(height=8, width=8, conv_channels=(2, 3), embed_dim=4, dtype="f64")
-# The benchmark architecture, and the batch sizes training and mining issue.
+# The benchmark architecture, and the batch sizes that training and mining use,
+# plus the conv forward's 16-image tile boundaries: exact multiples (16, 32),
+# one-image tails (17, 33) and a mining batch (323).
 BENCH = ArchConfig(conv_channels=(8, 16, 32), embed_dim=32)
-EXACT_BATCHES = (1, 14, 18, 24, 27, 32, 400)
+EXACT_BATCHES = (1, 14, 16, 17, 18, 24, 27, 32, 33, 323, 400)
+ODD_HEAD = ArchConfig(height=31, width=33, conv_channels=(3, 5), embed_dim=6, num_classes=4)
 
 
 class TestInit:
@@ -44,6 +55,24 @@ class TestInit:
             ArchConfig(embed_dim=0)
         with pytest.raises(ValueError):
             ArchConfig(dtype="f16")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("height", 32.5),
+            ("width", 32.0),
+            ("embed_dim", True),
+            ("num_classes", 4.0),
+            ("conv_channels", (8, 16.0)),
+            ("conv_channels", (8, False)),
+            ("conv_channels", (8, 0)),
+            ("conv_channels", [8, 16]),
+            ("dtype", ["f32"]),
+        ],
+    )
+    def test_non_integer_sizes_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            replace(BENCH, **{field: value})
 
 
 class TestForward:
@@ -214,11 +243,37 @@ class TestBitExact:
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("batch", (1, 5, 14))
     def test_odd_input_and_small_net(self, dtype, batch):
-        cfg = ArchConfig(
-            height=31, width=33, conv_channels=(3, 5), embed_dim=6, num_classes=4, dtype=dtype
-        )
-        net, rng = _perturbed(cfg, 200 + batch)
+        net, rng = _perturbed(replace(ODD_HEAD, dtype=dtype), 200 + batch)
         _check_network_against_reference(net, rng, batch, with_head=True)
+
+    @pytest.mark.parametrize("with_head", [False, True])
+    @pytest.mark.parametrize("cfg", [replace(BENCH, num_classes=11), ODD_HEAD], ids=["bench", "odd"])
+    def test_infer_matches_reference(self, cfg, with_head):
+        net, rng = _perturbed(cfg, 300)
+        x = rng.integers(0, 256, size=(400, cfg.height, cfg.width)).astype(np.uint8)
+        want, _ = gradcheck.reference_network(net).forward_with_cache(x, with_head=with_head)
+        _assert_identical(net.infer(x, with_head=with_head), want)
+
+    def test_infer_peak_allocation_stays_near_kept_activations(self):
+        # The forward keeps every layer's activations for backward (about
+        # 32 MB here). Untiled, layer 0's product and accumulator alone were
+        # 2 x 8 x 400*32*32 f32 = 26 MB on top; tiles need about 1 MB.
+        net = init(BENCH, seed=1)
+        x = np.random.default_rng(0).integers(0, 256, size=(400, 32, 32)).astype(np.uint8)
+        _, cache = net.forward_with_cache(x)
+        kept = {}
+        for c in cache["caches"]:
+            for a in c if isinstance(c, tuple) else (c,):
+                if isinstance(a, np.ndarray):
+                    kept[id(a)] = a.nbytes
+        del cache
+        tracemalloc.start()
+        try:
+            net.infer(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(kept.values()) <= peak < sum(kept.values()) + 4e6
 
     def test_zero_init_biases(self):
         # Zero biases leave whole windows at exactly zero after the ReLU.
@@ -333,6 +388,30 @@ class TestSgd:
             sgd_step(np.array([1.0]), np.array([np.nan]), lr=0.1)
 
 
+_SMALL_HEADER = {
+    "height": 8,
+    "width": 8,
+    "conv_channels": [2, 3],
+    "embed_dim": 4,
+    "num_classes": None,
+    "dtype": "f64",
+    "seed": 23,
+}
+_SMALL_PARAMS = init(SMALL, seed=0).n_params
+
+
+def _read_checkpoint(path):
+    """(header, payload) of a checkpoint file."""
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[8:12], "little")
+    return json.loads(data[12 : 12 + hlen]), data[12 + hlen :]
+
+
+def _checkpoint_bytes(header, payload):
+    blob = json.dumps(header).encode()
+    return nncore.CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + payload
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg = ArchConfig(height=8, width=8, conv_channels=(2,), embed_dim=3, num_classes=4)
@@ -382,3 +461,59 @@ class TestCheckpoint:
         path.write_bytes(cut(data, hlen))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_oversized_header_rejected_before_allocation(self, tmp_path):
+        path = tmp_path / "net.gnssnet"
+        save_checkpoint(init(SMALL, seed=24), path)
+        header, payload = _read_checkpoint(path)
+        header["conv_channels"] = [100000, 100000]  # 9e10 parameters
+        path.write_bytes(_checkpoint_bytes(header, payload))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="payload"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_float_height_rejected(self, tmp_path):
+        path = tmp_path / "net.gnssnet"
+        save_checkpoint(init(SMALL, seed=25), path)
+        header, payload = _read_checkpoint(path)
+        header["height"] = 8.5
+        path.write_bytes(_checkpoint_bytes(header, payload))
+        with pytest.raises(ValueError, match="height"):
+            load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        changes=st.dictionaries(
+            st.sampled_from(sorted(_SMALL_HEADER)),
+            st.one_of(
+                json_values("f32", "f64"),
+                st.integers(-2, 40),
+                st.floats(1, 64),
+                st.lists(st.integers(-2, 10**5), max_size=3),
+            ),
+            max_size=3,
+        ),
+        drop=st.sets(st.sampled_from(sorted(_SMALL_HEADER)), max_size=1),
+        payload_delta=st.one_of(st.just(0), st.integers(-8, 8)),
+    )
+    def test_header_fuzz_raises_only_value_error(self, changes, drop, payload_delta):
+        header = {k: v for k, v in {**_SMALL_HEADER, **changes}.items() if k not in drop}
+        payload = np.arange(_SMALL_PARAMS, dtype="<f8").tobytes()
+        payload = payload[: len(payload) + payload_delta] + b"\x00" * max(payload_delta, 0)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "net.gnssnet"
+            path.write_bytes(_checkpoint_bytes(header, payload))
+            try:
+                net = load_checkpoint(path)
+            except ValueError:
+                return
+        cfg = net.config
+        assert net.n_params * np.dtype(cfg.np_dtype).itemsize == len(payload)
+        sizes = (cfg.height, cfg.width, cfg.embed_dim) + cfg.conv_channels
+        assert all(type(v) is int for v in sizes)
+

@@ -1,10 +1,14 @@
+import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jsonfuzz import json_values
 from gnssfsl import spectro
 from gnssfsl.siggen import BackgroundLevel, BackgroundSpec, IQSnapshot, gen_background
 from gnssfsl.spectro import (
@@ -191,6 +195,15 @@ class TestImageFormat:
         assert encode_image(img) == data
 
 
+_VALID_ENTRY = {"file": "r0.img", "label": 1, "split": "test", "seed": 3, "jammer_params": {}}
+# Valid entries with up to two fields replaced by any JSON value and one dropped.
+_MANIFEST_ENTRIES = st.builds(
+    lambda changes, drop: {k: v for k, v in {**_VALID_ENTRY, **changes}.items() if k not in drop},
+    st.dictionaries(st.sampled_from(sorted(_VALID_ENTRY)), json_values("test", "r0.img"), max_size=2),
+    st.sets(st.sampled_from(sorted(_VALID_ENTRY)), max_size=1),
+)
+
+
 class TestManifest:
     def test_save_load_round_trip(self, tmp_path):
         records = []
@@ -215,3 +228,42 @@ class TestManifest:
         assert np.array_equal(loaded.records[2].image.pixels, np.full((4, 4), 2))
         assert loaded.subset(split="train").labels().tolist() == [0, 1, 0]
         assert loaded.classes() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [{"label": 1, "split": "test", "seed": 3}],
+            {"a": 1},
+            [1, 2],
+            [{"file": 5, "label": 1, "split": "test", "seed": 3}],
+            [{"file": "a.img", "label": True, "split": "test", "seed": 3}],
+            [{"file": "a.img", "label": 1.0, "split": "test", "seed": 3}],
+            [{"file": "a.img", "label": 1, "split": "test", "seed": 3, "jammer_params": []}],
+        ],
+        ids=["no-file", "object", "ints", "file-type", "bool-label", "float-label", "params"],
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, doc):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="manifest"):
+            load_corpus(path, load_images=False)
+
+    @given(
+        doc=st.one_of(
+            json_values("test", "r0.img"),
+            st.lists(st.one_of(_MANIFEST_ENTRIES, json_values()), max_size=4),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_load_corpus_fuzz_raises_only_value_error(self, doc):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "manifest.json"
+            path.write_text(json.dumps(doc))
+            try:
+                corpus = load_corpus(path, load_images=False)
+            except ValueError:
+                return
+        assert [r.to_manifest() for r in corpus.records] == [
+            {"jammer_params": {}, **e} for e in doc
+        ]
+
