@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fsl, metrics, nncore, siggen, spectro, uncertainty
+from . import fsl, losses, metrics, nncore, siggen, spectro, uncertainty
 from .fsl import SimilarityMap, TrainConfig
 
 # Field-study class frequencies used to shape synthetic corpora.
@@ -205,7 +205,6 @@ def generate_corpus(
     total: int | None = None,
     image_size: int | None = None,
     counts: dict | None = None,
-    fractions=fsl.DEFAULT_SPLIT_FRACTIONS,
 ) -> spectro.LabeledCorpus:
     """Write a GNSSIMG1 corpus + manifest.json; deterministic per seed."""
     if profile not in PROFILES:
@@ -250,7 +249,7 @@ def generate_corpus(
             record_index += 1
 
     corpus = spectro.LabeledCorpus(records, out_dir)
-    corpus = fsl.split_corpus(corpus, fractions, seed=seed)
+    corpus = fsl.split_corpus(corpus, seed=seed)
     spectro.save_manifest(corpus, out_dir / "manifest.json")
     return corpus
 
@@ -364,8 +363,9 @@ def _load_config(args) -> TrainConfig:
 
 
 def _check_identity(run_dir: Path, checkpoint_name: str, config: TrainConfig, force: bool):
+    checkpoint = f"checkpoints/{checkpoint_name}.gnssnet"
     for entry in reversed(_load_manifest(run_dir)["stages"]):
-        if entry.get("artifacts", {}).get("checkpoint", "").endswith(f"{checkpoint_name}.gnssnet"):
+        if entry.get("artifacts", {}).get("checkpoint") == checkpoint:
             recorded = entry.get("identity_hash")
             if recorded and recorded != identity_hash(config) and not force:
                 raise StageError(
@@ -382,12 +382,20 @@ def _check_identity(run_dir: Path, checkpoint_name: str, config: TrainConfig, fo
 # ---------------------------------------------------------------------------
 
 
+def _parse_counts(text: str) -> dict:
+    """`--counts` JSON: an object mapping class ids (integer strings) to int counts."""
+    counts = json.loads(text)
+    if not isinstance(counts, dict) or not all(
+        k.isascii() and k.isdecimal() and type(v) is int for k, v in counts.items()
+    ):
+        raise ValueError(f"--counts must map class ids to integer counts, got {text}")
+    return {int(k): v for k, v in counts.items()}
+
+
 def cmd_gen_data(args) -> None:
     run_dir = Path(args.out)
     t0 = time.perf_counter()
-    counts = json.loads(args.counts) if args.counts else None
-    if counts:
-        counts = {int(k): int(v) for k, v in counts.items()}
+    counts = _parse_counts(args.counts) if args.counts else None
     generate_corpus(
         run_dir / "corpus",
         profile=args.profile,
@@ -426,10 +434,9 @@ def _train_one(run_dir: Path, config: TrainConfig, name: str, sim_map) -> Path:
     return ckpt
 
 
-def _resolve_sim_map(run_dir: Path, config: TrainConfig) -> SimilarityMap | None:
-    if config.loss != "quadruplet":
-        return None
-    if config.similarity_map == "paper_fixture":
+def _resolve_sim_map(run_dir: Path, source: str) -> SimilarityMap:
+    """The similar-class map a quadruplet training uses: the fixture or the mined map."""
+    if source == "paper_fixture":
         return fsl.load_fixture_map()
     path = _require(run_dir / "similarity_map.json", "similarity map (run mine first)")
     return SimilarityMap.load(path)
@@ -440,7 +447,7 @@ def cmd_train(args) -> None:
     config = _load_config(args)
     name = args.name or config.loss
     t0 = time.perf_counter()
-    sim_map = _resolve_sim_map(run_dir, config)
+    sim_map = _resolve_sim_map(run_dir, config.similarity_map) if config.loss == "quadruplet" else None
     try:
         ckpt = _train_one(run_dir, config, name, sim_map)
     except fsl.TrainingDiverged as exc:
@@ -705,26 +712,24 @@ def cmd_sweep(args) -> None:
     run_dir = Path(args.run)
     config = _load_config(args)
     t0 = time.perf_counter()
-    corpus = _load_run_corpus(run_dir)
-    rows = []
     settings = []
     if args.grid in ("triplet", "both"):
-        settings += [("triplet", a, None) for a in (2, 3, 5, 7, 10, 50, 100)]
+        settings += [("triplet", a, None) for a in losses.TRIPLET_MARGIN_GRID]
     if args.grid in ("quadruplet", "both"):
-        settings += [
-            ("quadruplet", a1, a2)
-            for a1, a2 in ((2, 5), (5, 6), (5, 10), (10, 50), (50, 60), (50, 100))
-        ]
+        settings += [("quadruplet", a1, a2) for a1, a2 in losses.QUADRUPLET_MARGIN_GRID]
+    # Resolved before any training, so a missing computed map fails fast.
+    sim_map = _resolve_sim_map(run_dir, config.similarity_map) if args.grid != "triplet" else None
+    corpus = _load_run_corpus(run_dir)
+    rows = []
     for loss, m1, m2 in settings:
         if loss == "triplet":
-            cfg = replace(config, loss=loss, alpha=float(m1))
+            cfg = replace(config, loss=loss, alpha=m1)
         else:
-            cfg = replace(config, loss=loss, alpha1=float(m1), alpha2=float(m2))
-        sim_map = fsl.load_fixture_map() if loss == "quadruplet" else None
+            cfg = replace(config, loss=loss, alpha1=m1, alpha2=m2)
         result = fsl.train(corpus, cfg, sim_map=sim_map)
         _, f2, cm = adaptation_report(result.network, corpus, cfg.adaptation_classes, cfg.k_shot)
         f1 = metrics.macro_f_beta(cm, 1.0, sorted(cfg.adaptation_classes))
-        rows.append((loss, m1, m2 if m2 is not None else "", f2, f1))
+        rows.append((loss, f"{m1:g}", "" if m2 is None else f"{m2:g}", f2, f1))
     reports = run_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     out = reports / "margin_sweep.csv"

@@ -28,7 +28,7 @@ from .nncore import (
     softmax_backward,
     softmax_normalize,
 )
-from .spectro import CorpusRecord, LabeledCorpus
+from .spectro import LabeledCorpus
 from .uncertainty import UncertaintyReport
 from .uncertainty import predict_member  # noqa: F401  (re-export; perfbench/test_tracer.py uses it)
 
@@ -126,15 +126,11 @@ class Episode:
                 raise ValueError(f"query label {label} missing from support")
 
 
-def sample_episode(
-    corpus: LabeledCorpus, classes, k_shot: int, n_query: int, rng: np.random.Generator
-) -> Episode:
-    """Draw a k-shot episode with up to n_query queries per class."""
-    return _sample_episode(corpus, _class_index(corpus), classes, k_shot, n_query, rng)
+def sample_episode(corpus, by_class, classes, k_shot, n_query, rng) -> Episode:
+    """Draw a k-shot episode with up to n_query queries per class.
 
-
-def _sample_episode(corpus, by_class, classes, k_shot, n_query, rng) -> Episode:
-    """sample_episode with the corpus's class index (`_class_index`) given."""
+    `by_class` is the corpus's class index (`_class_index`).
+    """
     support = {}
     query = []
     for c in sorted(classes):
@@ -357,13 +353,17 @@ def _class_index(corpus: LabeledCorpus) -> dict:
     return by_class
 
 
-def _sample_quadruplet_indices(
+def sample_quadruplet_indices(
     by_class: dict,
     sim_map: Optional[SimilarityMap],
     anchor_class: int,
     rng: np.random.Generator,
-    prototypes: Optional[PrototypeClassifier] = None,
 ) -> tuple[int, int, int, int]:
+    """Indices for (anchor, positive, similar, negative) under the label constraints.
+
+    The similar class is drawn from the map entry for the anchor class; when
+    that entry is empty, from all other classes.
+    """
     classes = sorted(by_class)
     if len(classes) < 3:
         raise ValueError(f"need at least 3 classes, corpus has {len(classes)}")
@@ -375,12 +375,6 @@ def _sample_quadruplet_indices(
     candidates = []
     if sim_map is not None:
         candidates = [c for c in sim_map.get(anchor_class) if c in by_class and c != anchor_class]
-    if not candidates and prototypes is not None and anchor_class in prototypes.prototypes:
-        anchor_proto = prototypes.prototypes[anchor_class]
-        others = [c for c in prototypes.classes() if c != anchor_class and c in by_class]
-        if others:
-            dists = [float(np.sum((prototypes.prototypes[c] - anchor_proto) ** 2)) for c in others]
-            candidates = [others[int(np.argmin(dists))]]
     if not candidates:
         candidates = [c for c in classes if c != anchor_class]
     s_class = int(candidates[rng.integers(len(candidates))])
@@ -395,24 +389,6 @@ def _sample_quadruplet_indices(
         by_class[s_class][rng.integers(len(by_class[s_class]))],
         by_class[n_class][rng.integers(len(by_class[n_class]))],
     )
-
-
-def sample_quadruplet(
-    corpus: LabeledCorpus,
-    sim_map: Optional[SimilarityMap],
-    anchor_class: int,
-    rng: np.random.Generator,
-    prototypes: Optional[PrototypeClassifier] = None,
-) -> tuple[CorpusRecord, CorpusRecord, CorpusRecord, CorpusRecord]:
-    """Draw (anchor, positive, similar, negative) records.
-
-    The similar class comes from the map entry for the anchor class; when that
-    entry is empty, it falls back to the class of the nearest other-class
-    prototype (if given), else to a uniform draw over the other classes.
-    """
-    by_class = _class_index(corpus)
-    a, p, s, n = _sample_quadruplet_indices(by_class, sim_map, anchor_class, rng, prototypes)
-    return corpus.records[a], corpus.records[p], corpus.records[s], corpus.records[n]
 
 
 def sample_triplet_indices(
@@ -572,7 +548,7 @@ def _pairwise_step(
         if config.loss == "quadruplet":
             eligible = [c for c in classes if len(by_class[c]) >= 2]
             anchor_class = eligible[rng.integers(len(eligible))]
-            idx[:, i] = _sample_quadruplet_indices(by_class, sim_map, anchor_class, rng)
+            idx[:, i] = sample_quadruplet_indices(by_class, sim_map, anchor_class, rng)
         else:
             idx[:, i] = sample_triplet_indices(by_class, classes, rng)
 
@@ -637,7 +613,7 @@ def train(
             if use_head:
                 loss, grads = _ce_batch(net, train_corpus, sel, label_of)
             else:
-                episode = _sample_episode(
+                episode = sample_episode(
                     train_corpus, by_class, train_classes, k, config.n_query, rng
                 )
                 loss, grads = pn_episode_loss(net, episode)

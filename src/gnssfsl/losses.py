@@ -1,4 +1,4 @@
-"""Cross-entropy and the three pairwise embedding losses, with exact gradients.
+"""Batched cross-entropy and the three pairwise embedding losses, with exact gradients.
 
 All pairwise losses sum over batch elements. Hinges take subgradient 0 at the
 kink, so satisfied pairs contribute nothing to the gradient. Gradients are
@@ -14,7 +14,7 @@ import numpy as np
 
 from .nncore import softmax_normalize
 
-# Margin grids accepted by configuration validation.
+# Margin grids that `gnssfsl sweep` trains, one model per setting.
 TRIPLET_MARGIN_GRID = (2.0, 3.0, 5.0, 7.0, 10.0, 50.0, 100.0)
 QUADRUPLET_MARGIN_GRID = (
     (2.0, 5.0),
@@ -47,14 +47,6 @@ class PairBatch:
 
     def __len__(self) -> int:
         return len(self.anchors)
-
-
-def euclidean_distance(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch {u.shape} vs {v.shape}")
-    return float(np.sqrt(np.sum((u - v) ** 2)))
 
 
 def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,21 +154,6 @@ def quadruplet_loss(batch: PairBatch, alpha1: float, alpha2: float):
     ds = act1 * u_as - act2 * u_as
     dn = act2 * u_an
     return loss, {"anchors": da, "positives": dp, "similars": ds, "negatives": dn}
-
-
-def cross_entropy(logits: np.ndarray, label: int):
-    """-log softmax(logits)[label]; gradient is softmax - one_hot."""
-    logits = np.asarray(logits, dtype=np.float64)
-    k = logits.shape[-1]
-    if not (0 <= label < k):
-        raise ValueError(f"label {label} out of range [0, {k})")
-    s = softmax_normalize(logits)
-    shifted = logits - logits.max()
-    log_z = np.log(np.sum(np.exp(shifted)))
-    loss = float(log_z - shifted[label])
-    grad = s.copy()
-    grad[label] -= 1.0
-    return loss, grad
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):

@@ -104,13 +104,13 @@ def macro_recall(cm: ConfusionMatrix, classes=None) -> float:
     return float(np.mean([rec[c] for c in sel]))
 
 
-def binary_detection_metrics(cm: ConfusionMatrix, first_positive: int = FIRST_POSITIVE_CLASS) -> MetricReport:
+def binary_detection_metrics(cm: ConfusionMatrix) -> MetricReport:
     """Collapse the 11-class matrix onto clean-vs-interference and score it."""
     if cm.num_classes != NUM_CLASSES:
         raise ValueError(f"expected a {NUM_CLASSES}-class matrix, got {cm.num_classes}")
     c = cm.counts
-    neg = slice(0, first_positive)
-    pos = slice(first_positive, cm.num_classes)
+    neg = slice(0, FIRST_POSITIVE_CLASS)
+    pos = slice(FIRST_POSITIVE_CLASS, cm.num_classes)
     tn = int(c[neg, neg].sum())
     fp = int(c[neg, pos].sum())
     fn = int(c[pos, neg].sum())
@@ -175,16 +175,20 @@ class TsneResult:
     kl_divergences: list  # one entry per iteration
 
 
+# The classic optimizer schedule: momentum 0.5 until iteration 250, then 0.8;
+# affinities exaggerated 4x for the first 100 iterations.
+TSNE_LEARNING_RATE = 200.0
+TSNE_MOMENTUM = (0.5, 0.8)
+TSNE_MOMENTUM_SWITCH_ITER = 250
+TSNE_EXAGGERATION = 4.0
+TSNE_EXAGGERATION_ITERS = 100
+
+
 def tsne(
     embeddings: np.ndarray,
     perplexity: float = 30.0,
     iters: int = 1000,
-    momentum_schedule: tuple = (0.5, 0.8),
     seed: int = 0,
-    learning_rate: float = 200.0,
-    momentum_switch_iter: int = 250,
-    early_exaggeration: float = 4.0,
-    exaggeration_iters: int = 100,
     return_info: bool = False,
 ):
     """Dense t-SNE to 2-D with the classic momentum/gain schedule.
@@ -213,9 +217,9 @@ def tsne(
     y = rng.standard_normal((n, 2)) * 1e-4
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
-    initial_momentum, final_momentum = momentum_schedule
+    initial_momentum, final_momentum = TSNE_MOMENTUM
 
-    p_run = p * early_exaggeration
+    p_run = p * TSNE_EXAGGERATION
     kl_log = []
     # n x n work buffers reused by every iteration: the Gram matrix y y^T
     # (then scratch for the KL term), the Student-t kernel, and q (then the
@@ -226,7 +230,7 @@ def tsne(
     num = np.empty((n, n))
     q = np.empty((n, n))
     for it in range(iters):
-        if it == exaggeration_iters:
+        if it == TSNE_EXAGGERATION_ITERS:
             p_run = p
         ysq = np.sum(y**2, axis=1)
         # num = 1 / (1 + ysq_i + ysq_j - 2 y_i.y_j), zero on the diagonal
@@ -254,12 +258,12 @@ def tsne(
         np.fill_diagonal(pq, diag)
         grad = 4.0 * (pq @ y)
 
-        momentum = initial_momentum if it < momentum_switch_iter else final_momentum
+        momentum = initial_momentum if it < TSNE_MOMENTUM_SWITCH_ITER else final_momentum
         flip = np.sign(grad) != np.sign(velocity)
         gains = np.where(flip, gains + 0.2, gains * 0.8)
         np.maximum(gains, 0.01, out=gains)
         velocity *= momentum
-        velocity -= learning_rate * gains * grad
+        velocity -= TSNE_LEARNING_RATE * gains * grad
         y += velocity
         y -= y.mean(axis=0)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -108,7 +107,6 @@ class JammerSpec:
     # its center offset. 1.0 fills the whole band.
     band_fraction: float = 1.0
     band_center_hz: float = 0.0
-    passband_edge_hz: Optional[float] = None  # defaults to sample_rate/4
     seed: int = 0
 
     def validate(self, sample_rate_hz: float) -> None:
@@ -130,9 +128,7 @@ class JammerSpec:
             if self.chirp2_f0_hz == self.chirp2_f1_hz:
                 raise ValueError("second chirp requires distinct start/stop frequencies")
         if self.kind is JammerKind.OUT_OF_BAND_TONE:
-            edge = self.passband_edge_hz
-            if edge is None:
-                edge = sample_rate_hz / 4.0
+            edge = sample_rate_hz / 4.0  # passband edge
             if not (edge < abs(self.tone_freq_hz) < sample_rate_hz / 2.0):
                 raise ValueError(
                     f"out-of-band tone must satisfy {edge} < |f| < {sample_rate_hz / 2}, "

@@ -43,14 +43,6 @@ class SpectrogramImage:
         if self.pixels.dtype != np.uint8:
             raise ValueError(f"pixels must be uint8, got {self.pixels.dtype}")
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 def stft_magnitude(snapshot: IQSnapshot, window_len: int, hop: int) -> SpectrogramDb:
     """Hann-windowed, fft-shifted magnitude STFT in dB relative to the peak."""
@@ -95,11 +87,6 @@ def quantize(db: SpectrogramDb, label: Optional[int] = None) -> SpectrogramImage
         )
     pixels = _round_half_up(255.0 * (grid - DB_FLOOR) / -DB_FLOOR)
     return SpectrogramImage(np.clip(pixels, 0, 255).astype(np.uint8), label)
-
-
-def dequantize(image: SpectrogramImage) -> np.ndarray:
-    """Inverse of :func:`quantize` up to quantization error, in dB."""
-    return image.pixels.astype(np.float64) * (-DB_FLOOR / 255.0) + DB_FLOOR
 
 
 def resize(image: SpectrogramImage, h_out: int, w_out: int) -> SpectrogramImage:
@@ -200,10 +187,6 @@ class LabeledCorpus:
             and (classes is None or r.label in classes)
         ]
         return LabeledCorpus(keep, self.root)
-
-    def images(self) -> np.ndarray:
-        """Stack all record pixels into (n, h, w) uint8."""
-        return np.stack([r.image.pixels for r in self.records])
 
 
 def save_manifest(corpus: LabeledCorpus, path: str | Path) -> None:

@@ -215,11 +215,13 @@ def test_criterion_5_mining_constraints(desk_corpus):
     sim_map = fsl.load_fixture_map()
     rng = np.random.default_rng(50)
     classes = desk_corpus.classes()
+    by_class = fsl._class_index(desk_corpus)
     violations = 0
     anchor0_similars = set()
     for i in range(10_000):
         anchor = int(classes[rng.integers(len(classes))])
-        a, p, s, n = fsl.sample_quadruplet(desk_corpus, sim_map, anchor, rng)
+        idx = fsl.sample_quadruplet_indices(by_class, sim_map, anchor, rng)
+        a, p, s, n = (desk_corpus.records[j] for j in idx)
         if not (a.label == p.label == anchor and a.file != p.file):
             violations += 1
         if s.label == anchor or n.label in (anchor, s.label):

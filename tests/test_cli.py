@@ -303,6 +303,50 @@ class TestStageErrors:
         rc = cli.main(["eval", "--run", str(run), "--config", str(other), "--force"])
         assert rc == 0
 
+    def test_identity_check_matches_exact_checkpoint_name(self, pipeline_run, tmp_path, capsys):
+        # "face.gnssnet" ends with "ce.gnssnet": only ce's own entry may be checked.
+        src, cfg_ce, _ = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(src, run)
+        cfg_face = quick_config_file(tmp_path, seed=6)
+
+        def stage(command, cfg, name):
+            return cli.main([command, "--run", str(run), "--config", str(cfg), "--name", name])
+
+        assert stage("train", cfg_face, "face") == 0
+        assert stage("adapt", cfg_ce, "ce") == 0
+        assert stage("adapt", cfg_face, "face") == 0
+        capsys.readouterr()
+        assert stage("adapt", cfg_face, "ce") == 1
+        assert "config hash mismatch" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_sweep_with_computed_map_needs_mined_map(self, tmp_path, capsys, monkeypatch):
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
+        cfg = quick_config_file(tmp_path, similarity_map="computed")
+        trained = []
+        monkeypatch.setattr(fsl, "train", lambda *a, **k: trained.append(1))
+        capsys.readouterr()
+        rc = cli.main(["sweep", "--run", str(tmp_path), "--config", str(cfg), "--grid", "both"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "stage_error"
+        assert "similarity map" in err["message"]
+        assert trained == []
+        assert not (tmp_path / "reports" / "margin_sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "counts",
+        ["[1, 2]", "5", '{"3": null}', '{"3": 9.5}', '{"3": true}', '{"x": 8}'],
+        ids=["array", "number", "null", "float", "bool", "key"],
+    )
+    def test_malformed_counts_exits_with_json_error(self, tmp_path, capsys, counts):
+        rc = cli.main(["gen-data", "--out", str(tmp_path), "--counts", counts])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "--counts" in err["message"]
+        assert not (tmp_path / "corpus").exists()
+
 
     def test_eval_on_truncated_checkpoint(self, pipeline_run, capsys):
         run, cfg_ce, _ = pipeline_run

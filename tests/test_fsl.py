@@ -19,7 +19,7 @@ from gnssfsl.fsl import (
     compute_prototypes,
     load_fixture_map,
     pn_episode_loss,
-    sample_quadruplet,
+    sample_quadruplet_indices,
     split_corpus,
     train,
 )
@@ -294,13 +294,18 @@ class TestSimilarityMap:
 
 
 class TestQuadrupletSampling:
+    @staticmethod
+    def _draw(corpus, sim_map, anchor, rng):
+        idx = sample_quadruplet_indices(fsl._class_index(corpus), sim_map, anchor, rng)
+        return [corpus.records[i] for i in idx]
+
     def test_constraints_hold_over_many_draws(self):
         corpus = toy_corpus({0: 5, 1: 4, 2: 3, 3: 6})
         m = SimilarityMap({0: [2], 1: [0, 3]})
         rng = np.random.default_rng(3)
         for _ in range(500):
             anchor = int(rng.integers(4))
-            a, p, s, n = sample_quadruplet(corpus, m, anchor, rng)
+            a, p, s, n = self._draw(corpus, m, anchor, rng)
             assert a.label == p.label == anchor
             assert a.file != p.file
             assert s.label != anchor
@@ -311,38 +316,19 @@ class TestQuadrupletSampling:
         m = SimilarityMap({0: [2]})
         rng = np.random.default_rng(4)
         for _ in range(50):
-            _, _, s, _ = sample_quadruplet(corpus, m, 0, rng)
+            _, _, s, _ = self._draw(corpus, m, 0, rng)
             assert s.label == 2
 
     def test_two_sample_anchor_forced(self):
         corpus = toy_corpus({0: 2, 1: 4, 2: 3})
         rng = np.random.default_rng(5)
-        a, p, _, _ = sample_quadruplet(corpus, None, 0, rng)
+        a, p, _, _ = self._draw(corpus, None, 0, rng)
         assert {a.file, p.file} == {"0_0.img", "0_1.img"}
-
-    def test_prototype_fallback(self):
-        corpus = toy_corpus({0: 3, 1: 3, 2: 3}, size=8)
-        net = init(SMALL, seed=11)
-        support = {
-            c: [r.image.pixels for r in corpus.subset(classes={c}).records]
-            for c in (0, 1, 2)
-        }
-        protos = compute_prototypes(net, support)
-        rng = np.random.default_rng(6)
-        # empty map: similar class must be the nearest other prototype
-        d = {
-            c: np.linalg.norm(protos.prototypes[c] - protos.prototypes[0])
-            for c in (1, 2)
-        }
-        nearest = min(sorted(d), key=lambda c: d[c])
-        for _ in range(20):
-            _, _, s, _ = sample_quadruplet(corpus, SimilarityMap({}), 0, rng, prototypes=protos)
-            assert s.label == nearest
 
     def test_too_few_classes_rejected(self):
         corpus = toy_corpus({0: 4, 1: 4})
         with pytest.raises(ValueError):
-            sample_quadruplet(corpus, None, 0, np.random.default_rng(0))
+            self._draw(corpus, None, 0, np.random.default_rng(0))
 
 
 class TestTrain:
@@ -450,7 +436,7 @@ class TestSatisfactionRate:
         eligible = [c for c in sorted(by_class) if len(by_class[c]) >= 2]
         quads = np.array(
             [
-                fsl._sample_quadruplet_indices(
+                fsl.sample_quadruplet_indices(
                     by_class, sim_map, eligible[rng.integers(len(eligible))], rng
                 )
                 for _ in range(400)
