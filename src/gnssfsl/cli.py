@@ -206,7 +206,7 @@ def generate_corpus(
     image_size: int | None = None,
     counts: dict | None = None,
 ) -> spectro.LabeledCorpus:
-    """Write a GNSSIMG1 corpus + manifest.json; deterministic per seed."""
+    """Write the corpus's image block and manifest.json; deterministic per seed."""
     if profile not in PROFILES:
         raise StageError(f"unknown profile {profile!r}", profile=profile)
     prof = PROFILES[profile]
@@ -221,6 +221,7 @@ def generate_corpus(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    block = np.empty((sum(counts.values()), image_size, image_size), dtype=np.uint8)
     records = []
     record_index = 0
     for label in sorted(counts):
@@ -235,21 +236,23 @@ def generate_corpus(
                 prof["hop"],
                 image_size,
             )
-            fname = f"cls{label:02d}_{i:05d}.img"
-            spectro.write_image(img, out_dir / fname)
+            block[record_index] = img.pixels
             rec = spectro.CorpusRecord(
-                file=fname,
+                file=f"cls{label:02d}_{i:05d}.img",
                 label=label,
                 split="",
                 seed=record_seed,
                 jammer_params=params,
-                image=img,
             )
             records.append(rec)
             record_index += 1
 
-    corpus = spectro.LabeledCorpus(records, out_dir)
-    corpus = fsl.split_corpus(corpus, seed=seed)
+    # Freeze before taking the row views: a view made earlier stays writable.
+    block.flags.writeable = False
+    for rec, pixels in zip(records, block):
+        rec.image = spectro.SpectrogramImage(pixels, rec.label)
+    corpus = fsl.split_corpus(spectro.LabeledCorpus(records), seed=seed)
+    spectro.write_image(block, out_dir / spectro.BLOCK_FILE)
     spectro.save_manifest(corpus, out_dir / "manifest.json")
     return corpus
 
@@ -344,10 +347,8 @@ def _require(path: Path, what: str) -> Path:
 
 def _corpus_hash(out_dir: Path) -> str:
     h = hashlib.sha256()
-    for f in sorted(out_dir.glob("*.img")):
-        h.update(f.name.encode())
-        h.update(f.read_bytes())
-    h.update((out_dir / "manifest.json").read_bytes())
+    for name in (spectro.BLOCK_FILE, "manifest.json"):
+        h.update((out_dir / name).read_bytes())
     return h.hexdigest()
 
 

@@ -101,7 +101,7 @@ def split_corpus(corpus: LabeledCorpus, fractions=DEFAULT_SPLIT_FRACTIONS, seed:
             start += c
 
     records = [replace(rec, split=assignment[i]) for i, rec in enumerate(corpus.records)]
-    return LabeledCorpus(records, corpus.root)
+    return LabeledCorpus(records)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 The dB grid is normalized so the per-snapshot peak sits at 0 dB and everything
 below -90 dB is clamped; quantization maps [-90, 0] linearly onto [0, 255].
-Also owns the on-disk formats: GNSSIMG1 image files and the JSON corpus
-manifest.
+Also owns the corpus's on-disk formats: one image block file holding every
+record's pixels as an (n, h, w) u8 array, and the JSON manifest whose entry i
+describes block row i. A loaded corpus's images are read-only views of rows
+of the one block.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,9 @@ import numpy as np
 from .siggen import IQSnapshot
 
 DB_FLOOR = -90.0
-IMAGE_MAGIC = b"GNSSIMG1"
+BLOCK_MAGIC = b"GNSSBLK1"
+BLOCK_FILE = "images.img"  # next to the corpus manifest
+_BLOCK_HEADER = struct.Struct("<8sIII")  # magic, n, h, w
 
 
 @dataclass
@@ -115,38 +118,48 @@ def resize(image: SpectrogramImage, h_out: int, w_out: int) -> SpectrogramImage:
     return SpectrogramImage(pixels, image.label)
 
 
-def encode_image(image: SpectrogramImage) -> bytes:
-    """Serialize to the GNSSIMG1 byte layout: magic, u32 LE h, u32 LE w, pixels."""
-    h, w = image.pixels.shape
-    return IMAGE_MAGIC + struct.pack("<II", h, w) + image.pixels.tobytes(order="C")
+def write_image(block: np.ndarray, path: str | Path) -> None:
+    """Write an (n, h, w) u8 image block: magic, u32-LE n, h, w, then the
+    n*h*w pixels in row-major order."""
+    with open(path, "wb") as fh:
+        fh.write(_BLOCK_HEADER.pack(BLOCK_MAGIC, *block.shape))
+        block.tofile(fh)
 
 
-def decode_image(data: bytes, label: Optional[int] = None) -> SpectrogramImage:
-    """Parse GNSSIMG1 bytes; any malformed input raises ValueError."""
-    if data[:8] != IMAGE_MAGIC:
-        raise ValueError(f"bad magic {data[:8]!r}, expected {IMAGE_MAGIC!r}")
-    if len(data) < 16:
-        raise ValueError(f"truncated image header: {len(data)} bytes, expected at least 16")
-    h, w = struct.unpack("<II", data[8:16])
-    expected = 16 + h * w
-    if len(data) != expected:
-        raise ValueError(f"truncated image file: {len(data)} bytes, expected {expected}")
-    pixels = np.frombuffer(data[16:], dtype=np.uint8).reshape(h, w).copy()
-    return SpectrogramImage(pixels, label)
+def decode_block(data: bytes) -> np.ndarray:
+    """Parse image-block bytes into an (n, h, w) u8 view of `data`, read-only
+    since bytes are immutable; any malformed input raises ValueError. Sizes
+    are checked against the bytes given, so a forged header allocates nothing."""
+    if data[:8] != BLOCK_MAGIC:
+        raise ValueError(f"bad magic {data[:8]!r}, expected {BLOCK_MAGIC!r}")
+    if len(data) < _BLOCK_HEADER.size:
+        raise ValueError(
+            f"truncated image block header: {len(data)} bytes, expected at least {_BLOCK_HEADER.size}"
+        )
+    _, n, h, w = _BLOCK_HEADER.unpack_from(data)
+    if n * h * w == 0:
+        raise ValueError(f"empty image block: {n}x{h}x{w}")
+    payload = len(data) - _BLOCK_HEADER.size
+    if payload != n * h * w:
+        kind = "truncated" if payload < n * h * w else "over-long"
+        raise ValueError(f"{kind} image block: {payload} pixel bytes, header claims {n}x{h}x{w}")
+    return np.frombuffer(data, dtype=np.uint8, offset=_BLOCK_HEADER.size).reshape(n, h, w)
 
 
-def write_image(image: SpectrogramImage, path: str | Path) -> None:
-    Path(path).write_bytes(encode_image(image))
-
-
-def read_image(path: str | Path, label: Optional[int] = None) -> SpectrogramImage:
+def read_image(path: str | Path) -> np.ndarray:
+    """Read an image block file in one call; see decode_block."""
     with open(path, "rb") as fh:
-        return decode_image(fh.read(), label)
+        data = fh.read()
+    try:
+        return decode_block(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass
 class CorpusRecord:
-    """One manifest entry; `image` is populated when the corpus is loaded."""
+    """One manifest entry; `file` is the record's name, not a path. `image`
+    is populated when the corpus is loaded."""
 
     file: str
     label: int
@@ -168,7 +181,6 @@ class CorpusRecord:
 @dataclass
 class LabeledCorpus:
     records: list[CorpusRecord]
-    root: Optional[Path] = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -186,7 +198,7 @@ class LabeledCorpus:
             if (split is None or r.split == split)
             and (classes is None or r.label in classes)
         ]
-        return LabeledCorpus(keep, self.root)
+        return LabeledCorpus(keep)
 
 
 def save_manifest(corpus: LabeledCorpus, path: str | Path) -> None:
@@ -195,9 +207,9 @@ def save_manifest(corpus: LabeledCorpus, path: str | Path) -> None:
 
 
 def load_corpus(manifest_path: str | Path, load_images: bool = True) -> LabeledCorpus:
+    """Validate every manifest entry, then read the image block next to the
+    manifest in one call; record i holds a read-only view of row i."""
     manifest_path = Path(manifest_path)
-    root = manifest_path.parent
-    root_dir = str(root)  # os.path.join is far cheaper than Path / per file
     entries = json.loads(manifest_path.read_text())
     if not isinstance(entries, list):
         raise ValueError(f"{manifest_path}: corpus manifest must be a JSON list")
@@ -222,7 +234,15 @@ def load_corpus(manifest_path: str | Path, load_images: bool = True) -> LabeledC
             seed=e["seed"],
             jammer_params=e.get("jammer_params", {}),
         )
-        if load_images:
-            rec.image = read_image(os.path.join(root_dir, rec.file), rec.label)
         records.append(rec)
-    return LabeledCorpus(records, root)
+    if load_images:
+        block_path = manifest_path.parent / BLOCK_FILE
+        block = read_image(block_path)
+        if len(block) != len(records):
+            raise ValueError(
+                f"{block_path}: image block has {len(block)} rows, "
+                f"manifest has {len(records)} entries"
+            )
+        for rec, pixels in zip(records, block):
+            rec.image = SpectrogramImage(pixels, rec.label)
+    return LabeledCorpus(records)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsonfuzz import json_values
-from gnssfsl import cli, fsl, nncore, uncertainty
+from gnssfsl import cli, fsl, nncore, spectro, uncertainty
 from gnssfsl.cli import class_counts, identity_hash
 from gnssfsl.spectro import load_corpus
 
@@ -121,11 +122,30 @@ class TestGenData:
         assert rc == 0
         corpus_dir = tmp_path / "corpus"
         corpus = load_corpus(corpus_dir / "manifest.json")
-        img_files = list(corpus_dir.glob("*.img"))
-        assert len(corpus) == len(img_files) == 88
+        assert sorted(f.name for f in corpus_dir.iterdir()) == ["images.img", "manifest.json"]
+        assert len(spectro.read_image(corpus_dir / "images.img")) == len(corpus) == 88
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["stages"][0]["stage"] == "gen-data"
         assert manifest["stages"][0]["corpus_hash"]
+
+    def test_regenerating_fewer_records_keeps_corpus_hash(self, tmp_path):
+        more = json.dumps({str(c): 10 for c in range(11)})
+        for out, runs in ((tmp_path / "reused", (more, TINY_COUNTS)), (tmp_path / "fresh", (TINY_COUNTS,))):
+            for counts in runs:
+                assert cli.main(["gen-data", "--out", str(out), "--seed", "3", "--counts", counts]) == 0
+        hashes = [
+            json.loads((tmp_path / sub / "run_manifest.json").read_text())["stages"][-1]["corpus_hash"]
+            for sub in ("reused", "fresh")
+        ]
+        assert hashes[0] == hashes[1]
+
+    def test_generated_pixels_are_read_only_rows_of_one_block(self, tmp_path):
+        corpus = cli.generate_corpus(tmp_path, seed=3, counts={c: 8 for c in range(11)})
+        assert len({id(r.image.pixels.base) for r in corpus.records}) == 1
+        for r in corpus.records:
+            assert not r.image.pixels.flags.writeable
+            with pytest.raises(ValueError):
+                r.image.pixels[0, 0] = 0
 
     def test_count_below_minimum_rejected(self, tmp_path, capsys):
         rc = cli.main(
@@ -359,18 +379,42 @@ class TestStageErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
 
-    @pytest.mark.parametrize("keep", [12, 20], ids=["header", "pixels"])
+    @pytest.mark.parametrize("keep", [12, 120], ids=["header", "pixels"])
     def test_eval_on_truncated_corpus_image(self, pipeline_run, tmp_path, capsys, keep):
         src, cfg_ce, _ = pipeline_run
         run = tmp_path / "run"
         shutil.copytree(src, run)
-        img = sorted((run / "corpus").glob("*.img"))[0]
-        img.write_bytes(img.read_bytes()[:keep])
+        block = run / "corpus" / "images.img"
+        block.write_bytes(block.read_bytes()[:keep])
         rc = cli.main(["eval", "--run", str(run), "--config", str(cfg_ce)])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "truncated" in err["message"]
+
+    @pytest.mark.parametrize(
+        "forge, match",
+        [
+            (lambda data: b"NOTMAGIC" + data[8:], "bad magic"),
+            (lambda data: data[:19], "truncated image block header"),
+            (lambda data: data[:-1], "truncated image block"),
+            (lambda data: data + b"\0", "over-long image block"),
+            (lambda data: data[:8] + struct.pack("<III", 0, 32, 32), "empty image block"),
+            (lambda data: data[:8] + struct.pack("<III", 87, 32, 32) + data[20 : 20 + 87 * 1024],
+             "87 rows, manifest has 88 entries"),
+        ],
+        ids=["magic", "header", "truncated", "over-long", "empty", "rows"],
+    )
+    def test_malformed_corpus_block_exits_with_json_error(self, tmp_path, capsys, forge, match):
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
+        block = tmp_path / "corpus" / "images.img"
+        block.write_bytes(forge(block.read_bytes()))
+        capsys.readouterr()
+        rc = cli.main(["train", "--run", str(tmp_path), "--config", str(quick_config_file(tmp_path))])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert match in err["message"] and "images.img" in err["message"]
 
     def test_non_finite_gradient_keeps_rescue_checkpoint(
         self, pipeline_run, monkeypatch, capsys

@@ -15,8 +15,7 @@ from gnssfsl.spectro import (
     DB_FLOOR,
     SpectrogramDb,
     SpectrogramImage,
-    decode_image,
-    encode_image,
+    decode_block,
     load_corpus,
     quantize,
     read_image,
@@ -138,61 +137,74 @@ class TestResize:
             resize(img, 0, 4)
 
 
+def _block_bytes(n, h, w, payload):
+    return spectro.BLOCK_MAGIC + struct.pack("<III", n, h, w) + payload
+
+
 class TestImageFormat:
-    def test_round_trip_bytes(self):
+    def test_round_trip_bytes(self, tmp_path):
         rng = np.random.default_rng(0)
-        img = SpectrogramImage(rng.integers(0, 256, size=(17, 9), dtype=np.uint8).astype(np.uint8))
-        data = encode_image(img)
-        assert data[:8] == b"GNSSIMG1"
-        assert int.from_bytes(data[8:12], "little") == 17
-        assert int.from_bytes(data[12:16], "little") == 9
-        back = decode_image(data)
-        assert np.array_equal(back.pixels, img.pixels)
+        block = rng.integers(0, 256, size=(3, 17, 9), dtype=np.uint8)
+        write_image(block, tmp_path / "b.img")
+        data = (tmp_path / "b.img").read_bytes()
+        assert data[:8] == b"GNSSBLK1"
+        assert [int.from_bytes(data[i : i + 4], "little") for i in (8, 12, 16)] == [3, 17, 9]
+        assert data[20:] == block.tobytes()
+        assert np.array_equal(decode_block(data), block)
 
     def test_file_round_trip(self, tmp_path):
-        img = SpectrogramImage(np.arange(64, dtype=np.uint8).reshape(8, 8), label=3)
+        block = np.arange(128, dtype=np.uint8).reshape(2, 8, 8)
         path = tmp_path / "x.img"
-        write_image(img, path)
-        back = read_image(path, label=3)
-        assert np.array_equal(back.pixels, img.pixels)
-        assert back.label == 3
+        write_image(block[:, ::2, :], path)  # any layout is written row-major
+        back = read_image(path)
+        assert np.array_equal(back, block[:, ::2, :])
+        assert back.dtype == np.uint8 and not back.flags.writeable
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            decode_image(b"NOTMAGIC" + b"\x00" * 16)
+        with pytest.raises(ValueError, match="magic"):
+            decode_block(b"NOTMAGIC" + b"\x00" * 16)
 
     def test_truncation_rejected(self):
-        img = SpectrogramImage(np.zeros((4, 4), dtype=np.uint8))
-        data = encode_image(img)
-        with pytest.raises(ValueError):
-            decode_image(data[:-1])
+        data = _block_bytes(2, 4, 4, b"\0" * 32)
+        assert decode_block(data).shape == (2, 4, 4)
+        with pytest.raises(ValueError, match="truncated"):
+            decode_block(data[:-1])
+        with pytest.raises(ValueError, match="over-long"):
+            decode_block(data + b"\0")
 
-    @pytest.mark.parametrize("extra", [0, 4, 7])
+    @pytest.mark.parametrize("extra", [0, 4, 7, 11])
     def test_short_header_rejected(self, extra):
         with pytest.raises(ValueError, match="header"):
-            decode_image(spectro.IMAGE_MAGIC + b"\0" * extra)
+            decode_block(spectro.BLOCK_MAGIC + b"\0" * extra)
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 4), (2, 4, 0)])
+    def test_empty_block_rejected(self, shape):
+        with pytest.raises(ValueError, match="empty"):
+            decode_block(_block_bytes(*shape, b""))
+
+    def test_forged_header_allocates_nothing(self):
+        with pytest.raises(ValueError, match="truncated"):
+            decode_block(_block_bytes(2**32 - 1, 2**32 - 1, 2**32 - 1, b"\0" * 8))
 
     @given(
         data=st.one_of(
             st.binary(max_size=64),
-            st.binary(max_size=24).map(lambda b: spectro.IMAGE_MAGIC + b),
+            st.binary(max_size=24).map(lambda b: spectro.BLOCK_MAGIC + b),
             st.tuples(
-                st.integers(0, 6), st.integers(0, 6), st.integers(-2, 2)
+                st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(-2, 2)
             ).map(
-                lambda t: spectro.IMAGE_MAGIC
-                + struct.pack("<II", t[0], t[1])
-                + b"\x07" * max(0, t[0] * t[1] + t[2])
+                lambda t: _block_bytes(t[0], t[1], t[2], b"\x07" * max(0, t[0] * t[1] * t[2] + t[3]))
             ),
         )
     )
     @settings(max_examples=300, deadline=None)
     def test_decode_fuzz_raises_only_value_error(self, data):
         try:
-            img = decode_image(data)
+            block = decode_block(data)
         except ValueError:
             return
-        assert len(data) == 16 + img.pixels.size
-        assert encode_image(img) == data
+        assert block.ndim == 3 and block.size > 0 and not block.flags.writeable
+        assert _block_bytes(*block.shape, block.tobytes()) == data
 
 
 _VALID_ENTRY = {"file": "r0.img", "label": 1, "split": "test", "seed": 3, "jammer_params": {}}
@@ -205,29 +217,44 @@ _MANIFEST_ENTRIES = st.builds(
 
 
 class TestManifest:
-    def test_save_load_round_trip(self, tmp_path):
-        records = []
-        for i in range(4):
-            img = SpectrogramImage(np.full((4, 4), i, dtype=np.uint8), label=i % 2)
-            fname = f"r{i}.img"
-            write_image(img, tmp_path / fname)
-            records.append(
-                spectro.CorpusRecord(
-                    file=fname,
-                    label=i % 2,
-                    split="train" if i < 3 else "test",
-                    seed=100 + i,
-                    jammer_params={"kind": "tone"} if i % 2 else {},
-                )
+    def _write_corpus(self, root, n=4):
+        records = [
+            spectro.CorpusRecord(
+                file=f"r{i}.img",
+                label=i % 2,
+                split="train" if i < 3 else "test",
+                seed=100 + i,
+                jammer_params={"kind": "tone"} if i % 2 else {},
             )
-        corpus = spectro.LabeledCorpus(records, tmp_path)
-        save_manifest(corpus, tmp_path / "manifest.json")
-        loaded = load_corpus(tmp_path / "manifest.json")
+            for i in range(n)
+        ]
+        save_manifest(spectro.LabeledCorpus(records), root / "manifest.json")
+        block = np.repeat(np.arange(n, dtype=np.uint8), 16).reshape(n, 4, 4)
+        write_image(block, root / spectro.BLOCK_FILE)
+        return root / "manifest.json"
+
+    def test_save_load_round_trip(self, tmp_path):
+        loaded = load_corpus(self._write_corpus(tmp_path))
         assert len(loaded) == 4
         assert loaded.records[1].jammer_params == {"kind": "tone"}
         assert np.array_equal(loaded.records[2].image.pixels, np.full((4, 4), 2))
         assert loaded.subset(split="train").labels().tolist() == [0, 1, 0]
         assert loaded.classes() == [0, 1]
+
+    def test_loaded_pixels_are_read_only_rows_of_one_block(self, tmp_path):
+        records = load_corpus(self._write_corpus(tmp_path)).records
+        assert len({id(r.image.pixels.base) for r in records}) == 1
+        for r in records:
+            assert not r.image.pixels.flags.writeable
+            with pytest.raises(ValueError):
+                r.image.pixels[0, 0] = 9
+
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_row_count_must_match_manifest(self, tmp_path, rows):
+        manifest = self._write_corpus(tmp_path)
+        write_image(np.zeros((rows, 4, 4), np.uint8), tmp_path / spectro.BLOCK_FILE)
+        with pytest.raises(ValueError, match=f"{rows} rows, manifest has 4 entries"):
+            load_corpus(manifest)
 
     @pytest.mark.parametrize(
         "doc",
