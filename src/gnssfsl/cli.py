@@ -166,10 +166,7 @@ def synthesize_record(
     image_size: int,
 ) -> tuple[spectro.SpectrogramImage, dict]:
     """Generate one labeled spectrogram image plus its parameter snapshot."""
-    rng = np.random.default_rng(record_seed)
     bg_seed = siggen.derive_seed(record_seed, 0)
-    jam_seed = siggen.derive_seed(record_seed, 1)
-
     if label in BACKGROUND_OF_CLASS:
         level = BACKGROUND_OF_CLASS[label]
         params = {"background": level.value}
@@ -178,8 +175,11 @@ def synthesize_record(
         )
         snapshot = bg
     else:
+        # Only jammer records draw from the record rng.
+        rng = np.random.default_rng(record_seed)
         levels = list(siggen.BackgroundLevel)
         level = levels[rng.integers(len(levels))]
+        jam_seed = siggen.derive_seed(record_seed, 1)
         spec = _jammer_spec(label, rng, sample_rate_hz, duration_ms, jam_seed)
         bg = siggen.gen_background(
             siggen.BackgroundSpec(level, seed=bg_seed), duration_ms, sample_rate_hz

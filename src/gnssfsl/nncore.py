@@ -10,6 +10,7 @@ when gradients are checked against finite differences.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import struct
@@ -338,6 +339,14 @@ def _build_layers(config: ArchConfig) -> list:
     return layers
 
 
+@functools.lru_cache(maxsize=8)
+def _freq_ramp(height: int, dtype) -> np.ndarray:
+    """Read-only frequency coordinate of each image row, -0.5 to 0.5."""
+    ramp = np.linspace(-0.5, 0.5, height, dtype=dtype)
+    ramp.flags.writeable = False
+    return ramp
+
+
 class EmbeddingNetwork:
     """Feature extractor f(X) with flat parameters and exact gradients."""
 
@@ -387,7 +396,7 @@ class EmbeddingNetwork:
         x = x[:, None, :, :]
         # Global average pooling is otherwise blind to where along the
         # frequency axis energy sits, and tone classes are defined by that.
-        ramp = np.linspace(-0.5, 0.5, self.config.height, dtype=self.config.np_dtype)
+        ramp = _freq_ramp(self.config.height, self.config.np_dtype)
         coord = np.broadcast_to(
             ramp[None, None, :, None], (x.shape[0], 1, self.config.height, self.config.width)
         )

@@ -10,6 +10,7 @@ of the one block.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -47,38 +48,59 @@ class SpectrogramImage:
             raise ValueError(f"pixels must be uint8, got {self.pixels.dtype}")
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# Plans are keyed on geometry, and a process sees a handful of geometries
+# (one per profile); the bound only stops a geometry sweep from growing them.
+@functools.lru_cache(maxsize=8)
+def _stft_plan(n: int, window_len: int, hop: int, sample_rate_hz: float) -> tuple[np.ndarray, ...]:
+    """Read-only (window, frame index, fftshift permutation, freq axis, time
+    axis) for one STFT geometry."""
+    frames = (n - window_len) // hop + 1
+    window = np.hanning(window_len)
+    frame_index = np.arange(window_len)[None, :] + hop * np.arange(frames)[:, None]
+    shift = np.fft.fftshift(np.arange(window_len))  # x[shift] == fftshift(x)
+    freq_axis = np.fft.fftshift(np.fft.fftfreq(window_len, d=1.0 / sample_rate_hz))
+    frame_centers = (hop * np.arange(frames) + window_len / 2.0) / sample_rate_hz
+    return _read_only(window, frame_index, shift, freq_axis, frame_centers * 1000.0)
+
+
 def stft_magnitude(snapshot: IQSnapshot, window_len: int, hop: int) -> SpectrogramDb:
-    """Hann-windowed, fft-shifted magnitude STFT in dB relative to the peak."""
+    """Hann-windowed, fft-shifted magnitude STFT in dB relative to the peak.
+    The returned axes are shared, read-only arrays."""
     n = snapshot.num_samples
     if not (0 < hop <= window_len <= n):
         raise ValueError(
             f"need 0 < hop <= window_len <= samples, got hop={hop} "
             f"window={window_len} samples={n}"
         )
-    frames = (n - window_len) // hop + 1
-    window = np.hanning(window_len)
+    window, frame_index, shift, freq_axis, time_axis = _stft_plan(
+        n, window_len, hop, snapshot.sample_rate_hz
+    )
     x = snapshot.samples.astype(np.complex128)
+    spectra = np.fft.fft(x[frame_index] * window, axis=1)
+    grid = np.abs(spectra).T[shift]  # freq_bins x frames, C-ordered
 
-    idx = np.arange(window_len)[None, :] + hop * np.arange(frames)[:, None]
-    segments = x[idx] * window[None, :]
-    spectra = np.fft.fftshift(np.fft.fft(segments, axis=1), axes=1)
-    mag = np.abs(spectra).T  # freq_bins x frames
-
-    peak = mag.max()
+    peak = grid.max()
     if peak == 0.0:
-        grid = np.full_like(mag, DB_FLOOR)
+        grid.fill(DB_FLOOR)
     else:
+        np.divide(grid, peak, out=grid)
         with np.errstate(divide="ignore"):
-            grid = 20.0 * np.log10(mag / peak)
-        grid = np.maximum(grid, DB_FLOOR)
-
-    freq_axis = np.fft.fftshift(np.fft.fftfreq(window_len, d=1.0 / snapshot.sample_rate_hz))
-    frame_centers = (hop * np.arange(frames) + window_len / 2.0) / snapshot.sample_rate_hz
-    return SpectrogramDb(grid, freq_axis, frame_centers * 1000.0)
+            np.log10(grid, out=grid)
+        np.multiply(grid, 20.0, out=grid)
+        np.maximum(grid, DB_FLOOR, out=grid)
+    return SpectrogramDb(grid, freq_axis, time_axis)
 
 
 def _round_half_up(x: np.ndarray) -> np.ndarray:
-    return np.floor(x + 0.5)
+    """floor(x + 0.5), in place."""
+    x += 0.5
+    return np.floor(x, out=x)
 
 
 def quantize(db: SpectrogramDb, label: Optional[int] = None) -> SpectrogramImage:
@@ -88,8 +110,24 @@ def quantize(db: SpectrogramDb, label: Optional[int] = None) -> SpectrogramImage
         raise ValueError(
             f"dB grid outside [{DB_FLOOR}, 0]: min={grid.min()} max={grid.max()}"
         )
-    pixels = _round_half_up(255.0 * (grid - DB_FLOOR) / -DB_FLOOR)
-    return SpectrogramImage(np.clip(pixels, 0, 255).astype(np.uint8), label)
+    pixels = grid - DB_FLOOR
+    pixels *= 255.0
+    pixels /= -DB_FLOOR
+    _round_half_up(pixels)
+    pixels.clip(0, 255, out=pixels)
+    return SpectrogramImage(pixels.astype(np.uint8), label)
+
+
+@functools.lru_cache(maxsize=16)
+def _resize_taps(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only half-pixel-centered bilinear taps for one axis: the 2*n_out
+    source indices [lo..., hi...] and the (2, n_out) weights [1 - frac, frac]."""
+    pos = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    pos = np.clip(pos, 0.0, n_in - 1.0)
+    lo = np.floor(pos).astype(np.intp)
+    hi = np.minimum(lo + 1, n_in - 1)
+    frac = pos - lo
+    return _read_only(np.concatenate([lo, hi]), np.stack([1 - frac, frac]))
 
 
 def resize(image: SpectrogramImage, h_out: int, w_out: int) -> SpectrogramImage:
@@ -100,22 +138,18 @@ def resize(image: SpectrogramImage, h_out: int, w_out: int) -> SpectrogramImage:
     if (h_in, w_in) == (h_out, w_out):
         return SpectrogramImage(image.pixels.copy(), image.label)
 
-    src = image.pixels.astype(np.float64)
-
-    def axis_coords(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        pos = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-        pos = np.clip(pos, 0.0, n_in - 1.0)
-        lo = np.floor(pos).astype(np.intp)
-        hi = np.minimum(lo + 1, n_in - 1)
-        return lo, hi, pos - lo
-
-    y0, y1, fy = axis_coords(h_out, h_in)
-    x0, x1, fx = axis_coords(w_out, w_in)
-    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
-    bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
-    out = top * (1 - fy)[:, None] + bot * fy[:, None]
-    pixels = np.clip(_round_half_up(out), 0, 255).astype(np.uint8)
-    return SpectrogramImage(pixels, image.label)
+    rows, wy = _resize_taps(h_out, h_in)
+    cols, wx = _resize_taps(w_out, w_in)
+    # corners[i, :, j, :] holds the pixels at rows (lo, hi)[i] and columns
+    # (lo, hi)[j]: only what the filter reads is cast to float64.
+    corners = image.pixels.take(rows, axis=0).take(cols, axis=1)
+    corners = corners.reshape(2, h_out, 2, w_out).astype(np.float64)
+    corners *= wx
+    top_bot = corners[:, :, 0] + corners[:, :, 1]  # x-interpolated [top, bottom]
+    top_bot *= wy[:, :, None]
+    out = top_bot[0] + top_bot[1]
+    _round_half_up(out).clip(0, 255, out=out)
+    return SpectrogramImage(out.astype(np.uint8), image.label)
 
 
 def write_image(block: np.ndarray, path: str | Path) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gradcheck
-from gnssfsl import cli, fsl, losses, metrics, uncertainty
+from gnssfsl import cli, fsl, losses, metrics, spectro, uncertainty
 from gnssfsl.losses import PairBatch, quadruplet_loss, triplet_loss
 
 
@@ -334,11 +334,12 @@ def test_criterion_7_reproducibility(tmp_path):
     digests_b = _digest_tree(run_b, ("*.img", "corpus/manifest.json", "reports/*.csv"))
     same = digests_a == digests_b
     n_csv = sum(1 for k in digests_a if k.endswith(".csv"))
-    n_img = sum(1 for k in digests_a if k.endswith(".img"))
+    # The corpus is one image block; name the records (block rows) it holds.
+    n_records = sum(len(spectro.read_image(run_a / k)) for k in digests_a if k.endswith(".img"))
     _report(
         "7 reproducibility",
         same,
-        f"{n_img} corpus files and {n_csv} report CSVs byte-identical across two runs",
+        f"{n_records} corpus records and {n_csv} report CSVs byte-identical across two runs",
     )
     assert digests_a, "chain produced no artifacts"
     assert same

@@ -124,6 +124,26 @@ class TestForward:
         assert net._layers[0].in_ch == 2  # image plane + coordinate plane
         assert not np.allclose(out[0], out[1])
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_prepared_batch_planes(self, dtype):
+        # Image plane x/255 in the network dtype, then the frequency ramp; a
+        # caller writing into one prepared batch cannot change the next.
+        net = init(replace(SMALL, height=9, dtype=dtype), seed=13)
+        np_dtype = net.config.np_dtype
+        imgs = np.random.default_rng(4).integers(0, 256, size=(3, 9, 8), dtype=np.uint8)
+        ramp = np.broadcast_to(np.linspace(-0.5, 0.5, 9, dtype=np_dtype)[:, None], (3, 9, 8))
+        x = net._prepare_batch(list(imgs))
+        x[:, 1] = 0.0
+        for batch in (imgs, imgs.astype(np.float64) / 255.0):
+            x = net._prepare_batch(batch)
+            assert x.dtype == np_dtype and x.shape == (3, 2, 9, 8)
+            if batch.dtype == np.uint8:
+                image_plane = batch.astype(np_dtype) / np.array(255.0, np_dtype)
+            else:
+                image_plane = batch.astype(np_dtype)
+            np.testing.assert_array_equal(x[:, 0], image_plane)
+            np.testing.assert_array_equal(x[:, 1], ramp)
+
 
 class TestBackward:
     def test_zero_upstream_zero_gradient(self):

@@ -1,3 +1,4 @@
+import collections
 import json
 import struct
 import tempfile
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsonfuzz import json_values
-from gnssfsl import spectro
+from spectro_reference import ref_quantize, ref_resize, ref_stft_magnitude
+from gnssfsl import cli, spectro
 from gnssfsl.siggen import BackgroundLevel, BackgroundSpec, IQSnapshot, gen_background
 from gnssfsl.spectro import (
     DB_FLOOR,
@@ -135,6 +137,133 @@ class TestResize:
         img = SpectrogramImage(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
             resize(img, 0, 4)
+
+
+def _assert_same_db(db, ref):
+    for name in ("grid", "freq_axis_hz", "time_axis_ms"):
+        a, b = getattr(db, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _assert_same_image(img, ref):
+    assert img.pixels.dtype == np.uint8 and img.label == ref.label
+    assert np.array_equal(img.pixels, ref.pixels)
+
+
+def _noise_snapshot(n, fs, seed):
+    rng = np.random.default_rng(seed)
+    samples = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex64)
+    return IQSnapshot(samples, fs, n / fs * 1000.0)
+
+
+class TestMatchesReference:
+    """stft_magnitude, quantize and resize against tests/spectro_reference.py:
+    grids, axes and pixels must be array_equal, not just close."""
+
+    @pytest.mark.parametrize("seed", [5, 7301])
+    def test_every_desk_record(self, tmp_path, monkeypatch, seed):
+        # Wrap the three calls gen-data makes per record; each wrapper checks
+        # its output against the reference on the same input.
+        stft, quant, rsz = spectro.stft_magnitude, spectro.quantize, spectro.resize
+        labels = collections.Counter()
+
+        def checked_stft(snapshot, window_len, hop):
+            db = stft(snapshot, window_len, hop)
+            _assert_same_db(db, ref_stft_magnitude(snapshot, window_len, hop))
+            return db
+
+        def checked_quantize(db, label=None):
+            img = quant(db, label)
+            _assert_same_image(img, ref_quantize(db, label))
+            labels[label] += 1
+            return img
+
+        def checked_resize(image, h_out, w_out):
+            img = rsz(image, h_out, w_out)
+            _assert_same_image(img, ref_resize(image, h_out, w_out))
+            return img
+
+        monkeypatch.setattr(spectro, "stft_magnitude", checked_stft)
+        monkeypatch.setattr(spectro, "quantize", checked_quantize)
+        monkeypatch.setattr(spectro, "resize", checked_resize)
+        corpus = cli.generate_corpus(tmp_path, profile="desk", seed=seed)
+        assert labels == collections.Counter(corpus.labels().tolist())
+        assert sorted(labels) == list(range(11))
+
+    def test_all_zero_snapshot(self):
+        snap = IQSnapshot(np.zeros(2000, dtype=np.complex64), 1e6, 2.0)
+        db, ref = stft_magnitude(snap, 256, 64), ref_stft_magnitude(snap, 256, 64)
+        _assert_same_db(db, ref)
+        img, ref_img = quantize(db, 4), ref_quantize(ref, 4)
+        _assert_same_image(img, ref_img)
+        _assert_same_image(resize(img, 32, 32), ref_resize(ref_img, 32, 32))
+
+    @given(
+        n=st.integers(min_value=1, max_value=1024),
+        window_frac=st.floats(min_value=0.0, max_value=1.0),
+        hop_frac=st.floats(min_value=0.0, max_value=1.0),
+        fs=st.sampled_from([48_000.0, 1e6, 62.5e6]),
+        out=st.tuples(st.integers(1, 70), st.integers(1, 70)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_geometries(self, n, window_frac, hop_frac, fs, out, seed):
+        window = max(1, round(window_frac * n))
+        hop = max(1, round(hop_frac * window))
+        snap = _noise_snapshot(n, fs, seed)
+        db, ref = stft_magnitude(snap, window, hop), ref_stft_magnitude(snap, window, hop)
+        _assert_same_db(db, ref)
+        img, ref_img = quantize(db), ref_quantize(ref)
+        _assert_same_image(img, ref_img)
+        _assert_same_image(resize(img, *out), ref_resize(ref_img, *out))
+        assert spectro._stft_plan.cache_info().currsize <= spectro._stft_plan.cache_info().maxsize
+        assert spectro._resize_taps.cache_info().currsize <= spectro._resize_taps.cache_info().maxsize
+
+    @pytest.mark.parametrize(
+        "shape,out",
+        [
+            ((256, 28), (32, 32)),  # desk: rows down, columns up
+            ((256, 28), (300, 40)),  # up; the last taps clamp at the edge
+            ((32, 32), (32, 32)),  # identity
+            ((5, 7), (64, 96)),  # up
+            ((200, 300), (16, 8)),  # down
+            ((31, 17), (13, 29)),  # odd sizes
+            ((1, 1), (3, 5)),
+            ((9, 1), (1, 9)),
+        ],
+    )
+    def test_resize_sizes(self, shape, out):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        img = SpectrogramImage(rng.integers(0, 256, size=shape, dtype=np.uint8), 2)
+        _assert_same_image(resize(img, *out), ref_resize(img, *out))
+
+    def test_writing_outputs_cannot_change_next_call(self):
+        snap = _tone_snapshot()
+        db = stft_magnitude(snap, 256, 64)
+        for axis in (db.freq_axis_hz, db.time_axis_ms):
+            with pytest.raises(ValueError):
+                axis[0] = 1.0
+        db.grid[:] = DB_FLOOR
+        img = quantize(stft_magnitude(snap, 256, 64))
+        img.pixels[:] = 7
+        small = resize(img, 32, 32)
+        small.pixels[:] = 9
+        ref = ref_stft_magnitude(snap, 256, 64)
+        db = stft_magnitude(snap, 256, 64)
+        _assert_same_db(db, ref)
+        ref_img = ref_quantize(ref)
+        _assert_same_image(quantize(db), ref_img)
+        _assert_same_image(resize(quantize(db), 32, 32), ref_resize(ref_img, 32, 32))
+
+    def test_plan_caches_are_bounded(self):
+        for cache, call in (
+            (spectro._stft_plan, lambda i: stft_magnitude(_noise_snapshot(64 + i, 1e6, i), 16, 4)),
+            (spectro._resize_taps, lambda i: resize(SpectrogramImage(np.zeros((4, 4), np.uint8)), 5 + i, 3)),
+        ):
+            bound = cache.cache_info().maxsize
+            for i in range(3 * bound):
+                call(i)
+            assert cache.cache_info().currsize == bound
 
 
 def _block_bytes(n, h, w, payload):
