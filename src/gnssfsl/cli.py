@@ -273,11 +273,8 @@ def _hash_text(text: str) -> str:
 def identity_hash(config: TrainConfig) -> str:
     """Hash of the artifact-compatibility subset of a training config."""
     subset = {
-        "height": config.height,
-        "width": config.width,
         "conv_channels": list(config.conv_channels),
         "embed_dim": config.embed_dim,
-        "dtype": config.dtype,
         "adaptation_classes": list(config.adaptation_classes),
         "k_shot": config.k_shot,
         "seed": config.seed,
@@ -314,11 +311,25 @@ def _load_manifest(run_dir: Path) -> dict:
     return manifest
 
 
-def _append_stage(run_dir: Path, entry: dict) -> None:
+def _append_stage(
+    run_dir: Path,
+    stage: str,
+    t0: float,
+    artifacts: dict,
+    identity: TrainConfig | None = None,
+    **fields,
+) -> None:
+    """Append the stage's hash-chained entry: its name, its own fields, the
+    identity hash of `identity`, its artifacts (run-relative paths) and the
+    wall time since `t0`."""
+    entry = {"stage": stage, **fields}
+    if identity is not None:
+        entry["identity_hash"] = identity_hash(identity)
+    entry["artifacts"] = artifacts
+    entry["elapsed_s"] = round(time.perf_counter() - t0, 3)
     manifest = _load_manifest(run_dir)
-    prev = manifest["stages"][-1]["hash"] if manifest["stages"] else None
-    entry["prev_hash"] = prev
-    entry["hash"] = _hash_text(_canonical({k: v for k, v in entry.items() if k != "hash"}))
+    entry["prev_hash"] = manifest["stages"][-1]["hash"] if manifest["stages"] else None
+    entry["hash"] = _hash_text(_canonical(entry))
     manifest["stages"].append(entry)
     # Write beside the manifest, then rename over it: a failed write leaves
     # the previous manifest intact.
@@ -355,6 +366,13 @@ def _corpus_hash(out_dir: Path) -> str:
 def _load_run_corpus(run_dir: Path) -> spectro.LabeledCorpus:
     manifest = _require(run_dir / "corpus" / "manifest.json", "corpus manifest")
     return spectro.load_corpus(manifest)
+
+
+def _subdir(run_dir: Path, name: str) -> Path:
+    """The run's `name` directory (checkpoints, reports), created if absent."""
+    path = run_dir / name
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _load_config(args) -> TrainConfig:
@@ -394,45 +412,23 @@ def _parse_counts(text: str) -> dict:
 
 
 def cmd_gen_data(args) -> None:
-    run_dir = Path(args.out)
     t0 = time.perf_counter()
-    counts = _parse_counts(args.counts) if args.counts else None
+    run_dir = Path(args.out)
     generate_corpus(
         run_dir / "corpus",
         profile=args.profile,
         seed=args.seed,
         total=args.total,
         image_size=args.image_size,
-        counts=counts,
+        counts=_parse_counts(args.counts) if args.counts else None,
     )
     _append_stage(
-        run_dir,
-        {
-            "stage": "gen-data",
-            "master_seed": args.seed,
-            "profile": args.profile,
-            "artifacts": {"corpus": "corpus/manifest.json"},
-            "corpus_hash": _corpus_hash(run_dir / "corpus"),
-            "elapsed_s": round(time.perf_counter() - t0, 3),
-        },
+        run_dir, "gen-data", t0, {"corpus": "corpus/manifest.json"},
+        master_seed=args.seed,
+        profile=args.profile,
+        corpus_hash=_corpus_hash(run_dir / "corpus"),
     )
     print(f"corpus written to {run_dir / 'corpus'}")
-
-
-def _train_one(run_dir: Path, config: TrainConfig, name: str, sim_map) -> Path:
-    corpus = _load_run_corpus(run_dir)
-    result = fsl.train(corpus, config, sim_map=sim_map)
-    ckpt_dir = run_dir / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = ckpt_dir / f"{name}.gnssnet"
-    nncore.save_checkpoint(result.network, ckpt)
-    reports = run_dir / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
-    with open(reports / f"train_{name}.csv", "w", newline="") as fh:
-        fh.write("epoch,loss\n")
-        for i, loss in enumerate(result.epoch_losses):
-            fh.write(f"{i},{loss:.9f}\n")
-    return ckpt
 
 
 def _resolve_sim_map(run_dir: Path, source: str) -> SimilarityMap:
@@ -444,89 +440,81 @@ def _resolve_sim_map(run_dir: Path, source: str) -> SimilarityMap:
 
 
 def cmd_train(args) -> None:
+    t0 = time.perf_counter()
     run_dir = Path(args.run)
     config = _load_config(args)
     name = args.name or config.loss
-    t0 = time.perf_counter()
     sim_map = _resolve_sim_map(run_dir, config.similarity_map) if config.loss == "quadruplet" else None
+    corpus = _load_run_corpus(run_dir)
     try:
-        ckpt = _train_one(run_dir, config, name, sim_map)
+        result = fsl.train(corpus, config, sim_map=sim_map)
     except fsl.TrainingDiverged as exc:
-        ckpt_dir = run_dir / "checkpoints"
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
-        rescue = ckpt_dir / f"{name}_diverged.gnssnet"
+        rescue = _subdir(run_dir, "checkpoints") / f"{name}_diverged.gnssnet"
         nncore.save_checkpoint(exc.network, rescue)
         raise StageError(
             f"training diverged at epoch {exc.epoch}; checkpoint retained",
             checkpoint=str(rescue),
         ) from exc
+    ckpt = _subdir(run_dir, "checkpoints") / f"{name}.gnssnet"
+    nncore.save_checkpoint(result.network, ckpt)
+    with open(_subdir(run_dir, "reports") / f"train_{name}.csv", "w", newline="") as fh:
+        fh.write("epoch,loss\n")
+        for i, loss in enumerate(result.epoch_losses):
+            fh.write(f"{i},{loss:.9f}\n")
     _append_stage(
-        run_dir,
-        {
-            "stage": f"train:{name}",
-            "master_seed": config.seed,
-            "config": json.loads(config.to_json()),
-            "identity_hash": identity_hash(config),
-            "artifacts": {
-                "checkpoint": str(ckpt.relative_to(run_dir)),
-                "log": f"reports/train_{name}.csv",
-            },
-            "elapsed_s": round(time.perf_counter() - t0, 3),
-        },
+        run_dir, f"train:{name}", t0,
+        {"checkpoint": f"checkpoints/{name}.gnssnet", "log": f"reports/train_{name}.csv"},
+        identity=config,
+        master_seed=config.seed,
+        config=json.loads(config.to_json()),
     )
     print(f"checkpoint written to {ckpt}")
 
 
 def cmd_ensemble(args) -> None:
+    t0 = time.perf_counter()
+    if args.members < 1:
+        raise ValueError(f"--members must be at least 1, got {args.members}")
     run_dir = Path(args.run)
     config = _load_config(args)
-    t0 = time.perf_counter()
     corpus = _load_run_corpus(run_dir)
-    ckpt_dir = run_dir / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
+    ckpt_dir = _subdir(run_dir, "checkpoints")
+    paths = {}
     for i in range(args.members):
         member_cfg = replace(config, seed=config.seed + i, pretrain="ce", loss="ce")
         result = fsl.train(corpus, member_cfg)
-        path = ckpt_dir / f"ensemble_{i:02d}.gnssnet"
-        nncore.save_checkpoint(result.network, path)
-        paths.append(str(path.relative_to(run_dir)))
+        nncore.save_checkpoint(result.network, ckpt_dir / f"ensemble_{i:02d}.gnssnet")
+        paths[f"member_{i:02d}"] = f"checkpoints/ensemble_{i:02d}.gnssnet"
     _append_stage(
-        run_dir,
-        {
-            "stage": "ensemble",
-            "master_seed": config.seed,
-            "members": args.members,
-            "config": json.loads(config.to_json()),
-            "identity_hash": identity_hash(config),
-            "artifacts": {f"member_{i:02d}": p for i, p in enumerate(paths)},
-            "elapsed_s": round(time.perf_counter() - t0, 3),
-        },
+        run_dir, "ensemble", t0, paths,
+        identity=config,
+        master_seed=config.seed,
+        members=args.members,
+        config=json.loads(config.to_json()),
     )
     print(f"{args.members} ensemble members written to {ckpt_dir}")
 
 
-def _load_ensemble(run_dir: Path) -> uncertainty.Ensemble:
+def _load_ensemble(run_dir: Path) -> tuple[uncertainty.Ensemble, TrainConfig]:
+    """The members and the config of the run's latest ensemble stage."""
     entry = _find_stage(run_dir, "ensemble")
     if entry is None:
         raise StageError("missing upstream artifact: ensemble checkpoints (run ensemble first)",
                          file=str(run_dir / "checkpoints"))
+    config = TrainConfig.from_json(json.dumps(entry.get("config")))
     members = []
     for key in sorted(entry["artifacts"]):
         path = _require(run_dir / entry["artifacts"][key], f"ensemble member {key}")
         members.append(nncore.load_checkpoint(path))
-    return uncertainty.Ensemble(members)
+    return uncertainty.Ensemble(members), config
 
 
 def cmd_mine(args) -> None:
-    run_dir = Path(args.run)
     t0 = time.perf_counter()
+    run_dir = Path(args.run)
     corpus = _load_run_corpus(run_dir)
-    ensemble = _load_ensemble(run_dir)
-    entry = _find_stage(run_dir, "ensemble")
-    train_classes = sorted(
-        set(corpus.classes()) - set(entry["config"]["adaptation_classes"])
-    )
+    ensemble, config = _load_ensemble(run_dir)
+    train_classes = sorted(set(corpus.classes()) - set(config.adaptation_classes))
     val = corpus.subset(split="val", classes=set(train_classes))
     remap = {c: i for i, c in enumerate(train_classes)}
     images = [r.image.pixels for r in val.records]
@@ -543,27 +531,18 @@ def cmd_mine(args) -> None:
     )
     (run_dir / "similarity_map.json").write_text(sim_map.to_json() + "\n")
 
-    reports = run_dir / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
     predicted = [inverse[int(i)] for i in np.argmax(report.mean_softmax, axis=1)]
     uncertainty.write_uncertainty_csv(
-        reports / "uncertainty.csv",
+        _subdir(run_dir, "reports") / "uncertainty.csv",
         [r.file for r in val.records],
         [r.label for r in val.records],
         predicted,
         report,
     )
     _append_stage(
-        run_dir,
-        {
-            "stage": "mine",
-            "quantile": args.quantile,
-            "artifacts": {
-                "similarity_map": "similarity_map.json",
-                "uncertainty": "reports/uncertainty.csv",
-            },
-            "elapsed_s": round(time.perf_counter() - t0, 3),
-        },
+        run_dir, "mine", t0,
+        {"similarity_map": "similarity_map.json", "uncertainty": "reports/uncertainty.csv"},
+        quantile=args.quantile,
     )
     print(f"similarity map written to {run_dir / 'similarity_map.json'}")
 
@@ -606,9 +585,18 @@ def adaptation_report(net, corpus: spectro.LabeledCorpus, adaptation_classes, k:
     return _adaptation_scores(classifier, corpus, adaptation_classes)
 
 
-def _load_net(run_dir: Path, name: str) -> nncore.EmbeddingNetwork:
+def _open_checkpoint(args):
+    """Inputs of a stage that reads a trained checkpoint: (run directory,
+    config, checkpoint name, corpus, network). The name defaults to the
+    config's loss kind, as in `train`; the corpus is checked before the
+    checkpoint."""
+    run_dir = Path(args.run)
+    config = _load_config(args)
+    name = args.name or config.loss
+    _check_identity(run_dir, name, config, args.force)
+    corpus = _load_run_corpus(run_dir)
     ckpt = _require(run_dir / "checkpoints" / f"{name}.gnssnet", f"checkpoint {name!r}")
-    return nncore.load_checkpoint(ckpt)
+    return run_dir, config, name, corpus, nncore.load_checkpoint(ckpt)
 
 
 def _save_prototypes(classifier: fsl.PrototypeClassifier, path: Path) -> None:
@@ -619,36 +607,22 @@ def _save_prototypes(classifier: fsl.PrototypeClassifier, path: Path) -> None:
 
 
 def cmd_adapt(args) -> None:
-    run_dir = Path(args.run)
-    config = _load_config(args)
-    name = args.name or "ce"
-    _check_identity(run_dir, name, config, args.force)
     t0 = time.perf_counter()
-    corpus = _load_run_corpus(run_dir)
-    net = _load_net(run_dir, name)
+    run_dir, config, name, corpus, net = _open_checkpoint(args)
     classifier = _classifier(net, corpus, config.adaptation_classes, config.k_shot)
     out = run_dir / "checkpoints" / f"{name}_prototypes.json"
     _save_prototypes(classifier, out)
     _append_stage(
-        run_dir,
-        {
-            "stage": f"adapt:{name}",
-            "identity_hash": identity_hash(config),
-            "artifacts": {"prototypes": str(out.relative_to(run_dir))},
-            "elapsed_s": round(time.perf_counter() - t0, 3),
-        },
+        run_dir, f"adapt:{name}", t0,
+        {"prototypes": f"checkpoints/{name}_prototypes.json"},
+        identity=config,
     )
     print(f"prototypes written to {out}")
 
 
 def cmd_eval(args) -> None:
-    run_dir = Path(args.run)
-    config = _load_config(args)
-    name = args.name or "ce"
-    _check_identity(run_dir, name, config, args.force)
     t0 = time.perf_counter()
-    corpus = _load_run_corpus(run_dir)
-    net = _load_net(run_dir, name)
+    run_dir, config, name, corpus, net = _open_checkpoint(args)
     classifier = _classifier(net, corpus, config.adaptation_classes, config.k_shot)
 
     test = corpus.subset(split="test")
@@ -658,61 +632,38 @@ def cmd_eval(args) -> None:
 
     acc, f2, _ = _adaptation_scores(classifier, corpus, config.adaptation_classes)
     extras = {"adaptation_macro_accuracy": acc, "adaptation_macro_f2": f2}
-    reports = run_dir / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
+    reports = _subdir(run_dir, "reports")
     metrics.write_metrics_csv(reports / f"metrics_{name}.csv", report, extras)
     with open(reports / f"confusion_{name}.csv", "w", newline="") as fh:
         for row in cm.counts:
             fh.write(",".join(str(int(v)) for v in row) + "\n")
     _append_stage(
-        run_dir,
-        {
-            "stage": f"eval:{name}",
-            "identity_hash": identity_hash(config),
-            "artifacts": {
-                "metrics": f"reports/metrics_{name}.csv",
-                "confusion": f"reports/confusion_{name}.csv",
-            },
-            "elapsed_s": round(time.perf_counter() - t0, 3),
-        },
+        run_dir, f"eval:{name}", t0,
+        {"metrics": f"reports/metrics_{name}.csv", "confusion": f"reports/confusion_{name}.csv"},
+        identity=config,
     )
     print(f"reports written to {reports}")
 
 
 def cmd_embed(args) -> None:
-    run_dir = Path(args.run)
-    config = _load_config(args)
-    name = args.name or "ce"
-    _check_identity(run_dir, name, config, args.force)
     t0 = time.perf_counter()
-    corpus = _load_run_corpus(run_dir)
-    net = _load_net(run_dir, name)
+    run_dir, config, name, corpus, net = _open_checkpoint(args)
     test = corpus.subset(split="test")
     images = [r.image.pixels for r in test.records]
     emb = net.infer(images)
     perplexity = min(args.perplexity, (len(images) - 1) / 3.0 - 1e-9)
     points = metrics.tsne(emb, perplexity=perplexity, iters=args.iters, seed=config.seed)
-    reports = run_dir / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
-    out = reports / f"tsne_{name}.csv"
+    out = _subdir(run_dir, "reports") / f"tsne_{name}.csv"
     metrics.write_points_csv(out, points, test.labels())
-    _append_stage(
-        run_dir,
-        {
-            "stage": f"embed:{name}",
-            "identity_hash": identity_hash(config),
-            "artifacts": {"tsne": str(out.relative_to(run_dir))},
-            "elapsed_s": round(time.perf_counter() - t0, 3),
-        },
-    )
+    _append_stage(run_dir, f"embed:{name}", t0, {"tsne": f"reports/tsne_{name}.csv"}, identity=config)
     print(f"projection written to {out}")
 
 
 def cmd_sweep(args) -> None:
     """Margin grid search, one desk-scale training per setting."""
+    t0 = time.perf_counter()
     run_dir = Path(args.run)
     config = _load_config(args)
-    t0 = time.perf_counter()
     settings = []
     if args.grid in ("triplet", "both"):
         settings += [("triplet", a, None) for a in losses.TRIPLET_MARGIN_GRID]
@@ -731,22 +682,12 @@ def cmd_sweep(args) -> None:
         _, f2, cm = adaptation_report(result.network, corpus, cfg.adaptation_classes, cfg.k_shot)
         f1 = metrics.macro_f_beta(cm, 1.0, sorted(cfg.adaptation_classes))
         rows.append((loss, f"{m1:g}", "" if m2 is None else f"{m2:g}", f2, f1))
-    reports = run_dir / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
-    out = reports / "margin_sweep.csv"
+    out = _subdir(run_dir, "reports") / "margin_sweep.csv"
     with open(out, "w", newline="") as fh:
         fh.write("loss,alpha1,alpha2,adaptation_macro_f2,adaptation_macro_f1\n")
         for loss, m1, m2, f2, f1 in rows:
             fh.write(f"{loss},{m1},{m2},{f2:.9f},{f1:.9f}\n")
-    _append_stage(
-        run_dir,
-        {
-            "stage": "sweep",
-            "grid": args.grid,
-            "artifacts": {"sweep": "reports/margin_sweep.csv"},
-            "elapsed_s": round(time.perf_counter() - t0, 3),
-        },
-    )
+    _append_stage(run_dir, "sweep", t0, {"sweep": "reports/margin_sweep.csv"}, grid=args.grid)
     print(f"sweep written to {out}")
 
 

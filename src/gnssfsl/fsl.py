@@ -276,7 +276,14 @@ class SimilarityMap:
     @classmethod
     def from_json(cls, text: str) -> "SimilarityMap":
         raw = json.loads(text)
-        return cls({int(c): [int(x) for x in v] for c, v in raw.items()})
+        if not isinstance(raw, dict) or not all(
+            c.isascii() and c.isdecimal() and isinstance(v, list) and all(map(_is_int, v))
+            for c, v in raw.items()
+        ):
+            raise ValueError(
+                "similarity map must map class ids (integer strings) to lists of integer class ids"
+            )
+        return cls({int(c): v for c, v in raw.items()})
 
     @classmethod
     def load(cls, path: str | Path) -> "SimilarityMap":
@@ -420,6 +427,11 @@ _FIELD_TYPES = {
     "tuple": ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
 }
 
+# Step and sample counts: at 0 an epoch, a batch, an episode or the few-shot support is empty.
+_STEP_COUNTS = (
+    "episodes_per_epoch", "episode_k_shot", "n_query", "pair_batch", "batch_size", "k_shot"
+)
+
 
 @dataclass
 class TrainConfig:
@@ -436,11 +448,9 @@ class TrainConfig:
     adaptation_classes: tuple = DEFAULT_ADAPTATION_CLASSES
     k_shot: int = 5
     similarity_map: str = "paper_fixture"  # computed | paper_fixture
-    # Architecture / schedule knobs beyond the core key set.
-    height: int = 32
-    width: int = 32
+    # Architecture / schedule knobs beyond the core key set. The input size
+    # comes from the corpus, and training is f32.
     conv_channels: tuple = (16, 32, 64)
-    dtype: str = "f32"
     pretrain: str = "episodic"  # episodic | ce
     episodes_per_epoch: int = 15
     episode_k_shot: int = 3  # support shots during pre-training episodes
@@ -469,6 +479,9 @@ class TrainConfig:
             raise ValueError("quadruplet margins must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        for name in _STEP_COUNTS:
+            if getattr(self, name) < 1:
+                raise ValueError(f"config field {name!r} must be >= 1, got {getattr(self, name)}")
 
     def to_json(self) -> str:
         d = self.__dict__.copy()
@@ -493,14 +506,14 @@ class TrainConfig:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         return cls(**d)
 
-    def arch(self, num_classes: Optional[int] = None) -> ArchConfig:
+    def arch(self, shape: tuple, num_classes: Optional[int] = None) -> ArchConfig:
+        """The f32 network for images of `shape` (height, width)."""
         return ArchConfig(
-            height=self.height,
-            width=self.width,
+            height=shape[0],
+            width=shape[1],
             conv_channels=self.conv_channels,
             embed_dim=self.embed_dim,
             num_classes=num_classes,
-            dtype=self.dtype,
         )
 
 
@@ -601,7 +614,8 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     use_head = config.pretrain == "ce"
-    net = init(config.arch(num_classes=len(train_classes) if use_head else None), config.seed)
+    shape = train_corpus.records[0].image.pixels.shape
+    net = init(config.arch(shape, num_classes=len(train_classes) if use_head else None), config.seed)
     decay_mask = net.decay_mask()
     label_of = {c: i for i, c in enumerate(sorted(train_classes))}
 

@@ -3,6 +3,7 @@ import json
 import shutil
 import struct
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -227,7 +228,7 @@ class TestPipeline:
         run, cfg_ce, _ = pipeline_run
         # a freshly initialized, never-trained network still yields a report
         cfg = fsl.TrainConfig.from_json(Path(cfg_ce).read_text())
-        net = nncore.init(cfg.arch(), seed=99)
+        net = nncore.init(cfg.arch((32, 32)), seed=99)
         nncore.save_checkpoint(net, run / "checkpoints" / "fresh.gnssnet")
         rc = cli.main(
             ["eval", "--run", str(run), "--config", str(cfg_ce), "--name", "fresh"]
@@ -453,6 +454,77 @@ class TestStageErrors:
         assert err["error"] == "ValueError"
         assert "manifest.json" in err["message"]
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"3": 5}'], ids=["array", "list"])
+    def test_malformed_similarity_map_exits_with_json_error(self, tmp_path, capsys, text):
+        (tmp_path / "similarity_map.json").write_text(text)
+        cfg = quick_config_file(tmp_path, loss="quadruplet", similarity_map="computed")
+        rc = cli.main(["train", "--run", str(tmp_path), "--config", str(cfg)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "similarity map" in err["message"]
+
+    @pytest.mark.parametrize(
+        "config", [None, {"adaptation_classes": 5}], ids=["no-config", "classes"]
+    )
+    def test_malformed_ensemble_entry_exits_with_json_error(
+        self, pipeline_run, tmp_path, capsys, config
+    ):
+        src, _, _ = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(src, run)
+        path = run / "run_manifest.json"
+        manifest = json.loads(path.read_text())
+        entry = next(e for e in manifest["stages"] if e["stage"] == "ensemble")
+        entry.pop("config")
+        if config is not None:
+            entry["config"] = config
+        path.write_text(json.dumps(manifest))
+        rc = cli.main(["mine", "--run", str(run)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "config" in err["message"]
+
+    def test_ensemble_without_members_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
+        trained = []
+        monkeypatch.setattr(fsl, "train", lambda *a, **k: trained.append(1))
+        capsys.readouterr()
+        cfg = quick_config_file(tmp_path)
+        rc = cli.main(["ensemble", "--run", str(tmp_path), "--config", str(cfg), "--members", "0"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "--members" in err["message"]
+        assert trained == []
+        stages = json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
+        assert [e["stage"] for e in stages] == ["gen-data"]
+
+    @pytest.mark.parametrize(
+        "command, extra", [("adapt", []), ("eval", []), ("embed", ["--iters", "50"])]
+    )
+    def test_checkpoint_name_defaults_to_loss_kind(
+        self, pipeline_run, tmp_path, command, extra
+    ):
+        # Like train, a stage run with the quadruplet config and no --name reads
+        # checkpoints/quadruplet.gnssnet and leaves the ce outputs alone.
+        src, _, cfg_quad = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(src, run)
+        before = {p.name: p.read_bytes() for p in (run / "reports").iterdir()}
+        assert cli.main([command, "--run", str(run), "--config", str(cfg_quad), *extra]) == 0
+        stages = json.loads((run / "run_manifest.json").read_text())["stages"]
+        assert stages[-1]["stage"] == f"{command}:quadruplet"
+        for name, data in before.items():
+            if name.endswith("_ce.csv"):
+                assert (run / "reports" / name).read_bytes() == data, name
+        if command == "eval":
+            metrics = (run / "reports" / "metrics_quadruplet.csv").read_bytes()
+            assert metrics == before["metrics_quadruplet.csv"]
+
     @pytest.mark.parametrize(
         "doc", [[], {"stages": 5}, {"stages": [{"x": 1}]}], ids=["array", "stages", "entry"]
     )
@@ -467,7 +539,7 @@ class TestStageErrors:
 
 class TestRunManifest:
     def test_failed_write_leaves_previous_manifest(self, tmp_path, monkeypatch):
-        cli._append_stage(tmp_path, {"stage": "first"})
+        cli._append_stage(tmp_path, "first", time.perf_counter(), {})
         manifest = tmp_path / "run_manifest.json"
         before = manifest.read_bytes()
 
@@ -478,7 +550,7 @@ class TestRunManifest:
 
         monkeypatch.setattr(Path, "write_text", torn_write)
         with pytest.raises(OSError):
-            cli._append_stage(tmp_path, {"stage": "second"})
+            cli._append_stage(tmp_path, "second", time.perf_counter(), {})
         monkeypatch.undo()
         assert manifest.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["run_manifest.json"]
@@ -508,7 +580,7 @@ class TestRunManifest:
             try:
                 cli._find_stage(Path(d), "train:ce")
                 cli._check_identity(Path(d), "ce", fsl.TrainConfig(), force=False)
-                cli._append_stage(Path(d), {"stage": "next"})
+                cli._append_stage(Path(d), "next", time.perf_counter(), {})
             except ValueError:
                 return
 

@@ -226,6 +226,33 @@ class TestSimilarityMap:
         with pytest.raises(ValueError):
             SimilarityMap({1: [1]})
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[1, 2]", '{"3": 5}', '{"3": [true]}', '{"3": [1.5]}', '{"x": [1]}', '{"-3": [1]}', "null"],
+    )
+    def test_malformed_document_raises_value_error(self, text):
+        with pytest.raises(ValueError, match="similarity map"):
+            SimilarityMap.from_json(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            json_values("3"),
+            st.dictionaries(
+                st.sampled_from(["0", "3", "10", "x", ""]),
+                st.one_of(json_values(), st.lists(st.integers(-2, 12), max_size=4)),
+                max_size=4,
+            ),
+        )
+    )
+    def test_from_json_fuzz_raises_only_value_error(self, doc):
+        try:
+            m = SimilarityMap.from_json(json.dumps(doc))
+        except ValueError:
+            return
+        for c, others in m.ranked.items():
+            assert type(c) is int and all(type(x) is int for x in others)
+
     @staticmethod
     def _mine(members, data):
         images = [img for img, _ in data]
@@ -335,7 +362,7 @@ class TestTrain:
     def test_zero_epochs_returns_initialized_net(self, tiny_corpus, quick_config):
         cfg = fsl.replace(quick_config, epochs=0)
         result = train(tiny_corpus, cfg)
-        fresh = init(cfg.arch(), cfg.seed)
+        fresh = init(cfg.arch(tiny_corpus.records[0].image.pixels.shape), cfg.seed)
         np.testing.assert_array_equal(result.network.params, fresh.params)
 
     def test_deterministic_trajectory(self, tiny_corpus, quick_config):
@@ -507,7 +534,7 @@ class TestIsometryInvariance:
             assert argmin_labels(rotated_protos, rotated_queries) == base
 
 
-_JSON_VALUES = json_values("ce", "quadruplet", "f32", "f64", "computed", "episodic", "l2")
+_JSON_VALUES = json_values("ce", "quadruplet", "computed", "episodic", "l2")
 
 
 class TestConfig:
@@ -531,6 +558,11 @@ class TestConfig:
             TrainConfig(similarity_map="guessed")
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+        for name in (
+            "episodes_per_epoch", "episode_k_shot", "n_query", "pair_batch", "batch_size", "k_shot"
+        ):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: 0})
 
     @pytest.mark.parametrize(
         "text",
@@ -566,6 +598,6 @@ class TestConfig:
     )
     def test_from_json_fuzz_raises_only_value_error(self, doc):
         try:
-            TrainConfig.from_json(json.dumps(doc)).arch()
+            TrainConfig.from_json(json.dumps(doc)).arch((32, 32))
         except ValueError:
             pass
