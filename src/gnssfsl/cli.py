@@ -209,8 +209,11 @@ def generate_corpus(
     """Write the corpus's image block and manifest.json; deterministic per seed."""
     if profile not in PROFILES:
         raise StageError(f"unknown profile {profile!r}", profile=profile)
+    for name, value in (("image_size", image_size), ("total", total)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     prof = PROFILES[profile]
-    image_size = image_size or prof["image_size"]
+    image_size = image_size if image_size is not None else prof["image_size"]
     counts = counts or class_counts(profile, total)
     bad = [c for c, n in counts.items() if n < MIN_CLASS_COUNT]
     if bad:

@@ -9,6 +9,7 @@ unseen classes is prototype averaging only: the backbone never updates.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -423,7 +424,10 @@ def sample_triplet_indices(
 _FIELD_TYPES = {
     "str": ("a string", lambda v: isinstance(v, str)),
     "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "float": (
+        "a finite number",
+        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v),
+    ),
     "tuple": ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
 }
 
@@ -473,10 +477,14 @@ class TrainConfig:
             raise ValueError(f"unknown pretrain mode {self.pretrain!r}")
         if self.pairwise_norm not in ("softmax", "l2", "none"):
             raise ValueError(f"unknown pairwise_norm {self.pairwise_norm!r}")
-        if self.loss == "triplet" and self.alpha <= 0:
+        if self.loss in ("contrastive", "triplet") and self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.loss == "quadruplet" and (self.alpha1 <= 0 or self.alpha2 <= 0):
             raise ValueError("quadruplet margins must be positive")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.decay < 0:
+            raise ValueError(f"decay must be >= 0, got {self.decay}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         for name in _STEP_COUNTS:
@@ -571,27 +579,15 @@ def _pairwise_step(
     emb = emb.astype(np.float64)
     normed, back = _normalize_embeddings(emb, config.pairwise_norm)
     parts = normed.reshape(roles, b, -1)
-
     if config.loss == "quadruplet":
-        batch = losses_mod.PairBatch(parts[0], parts[1], parts[3], similars=parts[2])
-        loss, grads = losses_mod.quadruplet_loss(batch, config.alpha1, config.alpha2)
-        d_norm = np.concatenate(
-            [grads["anchors"], grads["positives"], grads["similars"], grads["negatives"]]
-        )
+        loss, d_parts = losses_mod.quadruplet_loss(parts, config.alpha1, config.alpha2)
     elif config.loss == "triplet":
-        batch = losses_mod.PairBatch(parts[0], parts[1], parts[2])
-        loss, grads = losses_mod.triplet_loss(batch, config.alpha)
-        d_norm = np.concatenate([grads["anchors"], grads["positives"], grads["negatives"]])
+        loss, d_parts = losses_mod.triplet_loss(parts, config.alpha)
     else:  # contrastive
-        batch = losses_mod.PairBatch(parts[0], parts[1], parts[2])
-        loss, grads = losses_mod.contrastive_loss(batch, config.alpha)
-        d_norm = np.concatenate([grads["anchors"], grads["positives"], grads["negatives"]])
-
+        loss, d_parts = losses_mod.contrastive_loss(parts, config.alpha)
     # Average over pairs so the weight is batch-size independent.
-    loss = loss / b
-    d_emb = back(d_norm / b)
-    pgrad = net.backward_from(cache, d_emb)
-    return loss, pgrad
+    pgrad = net.backward_from(cache, back(d_parts.reshape(normed.shape) / b))
+    return loss / b, pgrad
 
 
 def train(

@@ -206,6 +206,8 @@ def tsne(
         raise ValueError(f"perplexity must be positive, got {perplexity}")
     if n <= 3 * perplexity:
         raise ValueError(f"need n > 3*perplexity, got n={n}, perplexity={perplexity}")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
 
     sq = np.sum(x**2, axis=1)
     sq_dists = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)

@@ -330,71 +330,43 @@ def _dists(a, b):
 
 
 def pair_batch_instance(rng, need_similars, margins, rows=3, dim=5):
-    """Random embeddings whose hinge arguments sit away from the kinks."""
+    """Stacked random roles, (a, p, s, n) or (a, p, n), whose hinge arguments sit
+    away from the kinks."""
     for _ in range(200):
         arrays = [rng.normal(size=(rows, dim)) for _ in range(4 if need_similars else 3)]
         a, p, n = arrays[0], arrays[1], arrays[2]
-        s = arrays[3] if need_similars else None
         if min(_dists(a, p).min(), _dists(a, n).min()) < 1e-2:
             continue
         if need_similars:
+            s = arrays[3]
             alpha1, alpha2 = margins
             if _dists(a, s).min() < 1e-2:
                 continue
             m1 = _dists(a, p) - _dists(a, s) + alpha1
             m2 = _dists(a, s) - _dists(a, n) + alpha2
             if np.min(np.abs(m1)) > KINK_MARGIN and np.min(np.abs(m2)) > KINK_MARGIN:
-                return losses.PairBatch(a, p, n, similars=s)
+                return np.stack([a, p, s, n])
         else:
             (alpha,) = margins
             m_trip = _dists(a, p) - _dists(a, n) + alpha
             m_contr = alpha - _dists(a, n)
             if np.min(np.abs(m_trip)) > KINK_MARGIN and np.min(np.abs(m_contr)) > KINK_MARGIN:
-                return losses.PairBatch(a, p, n)
+                return np.stack([a, p, n])
     raise AssertionError("could not build a kink-free pair batch")
 
 
 def check_pairwise_loss(kind: str, rng) -> float:
-    if kind == "quadruplet":
-        margins = (float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
-        batch = pair_batch_instance(rng, True, margins)
-        fn = lambda b: losses.quadruplet_loss(b, *margins)
-        roles = ["anchors", "positives", "similars", "negatives"]
-    elif kind == "triplet":
-        margins = (float(rng.uniform(0.2, 2.0)),)
-        batch = pair_batch_instance(rng, False, margins)
-        fn = lambda b: losses.triplet_loss(b, *margins)
-        roles = ["anchors", "positives", "negatives"]
-    elif kind == "contrastive":
-        margins = (float(rng.uniform(0.2, 2.0)),)
-        batch = pair_batch_instance(rng, False, margins)
-        fn = lambda b: losses.contrastive_loss(b, *margins)
-        roles = ["anchors", "positives", "negatives"]
-    else:
-        raise ValueError(kind)
-
-    _, grads = fn(batch)
-    worst = 0.0
-    for role in roles:
-        arr = getattr(batch, role)
-
-        def loss_with(x, role=role):
-            kw = {
-                "anchors": batch.anchors,
-                "positives": batch.positives,
-                "negatives": batch.negatives,
-            }
-            if batch.similars is not None:
-                kw["similars"] = batch.similars
-            kw[role] = x
-            replaced = losses.PairBatch(
-                kw["anchors"], kw["positives"], kw["negatives"], similars=kw.get("similars")
-            )
-            return fn(replaced)[0]
-
-        numeric = central_diff(loss_with, arr.copy())
-        worst = max(worst, max_rel_err(grads[role], numeric))
-    return worst
+    fn = {
+        "quadruplet": losses.quadruplet_loss,
+        "triplet": losses.triplet_loss,
+        "contrastive": losses.contrastive_loss,
+    }[kind]
+    n_margins = 2 if kind == "quadruplet" else 1
+    margins = tuple(float(rng.uniform(0.2, 2.0)) for _ in range(n_margins))
+    parts = pair_batch_instance(rng, kind == "quadruplet", margins)
+    _, grads = fn(parts, *margins)
+    numeric = central_diff(lambda x: fn(x, *margins)[0], parts.copy())
+    return max_rel_err(grads, numeric)
 
 
 def check_cross_entropy(rng) -> float:

@@ -15,7 +15,7 @@ import pytest
 
 import gradcheck
 from gnssfsl import cli, fsl, losses, metrics, spectro, uncertainty
-from gnssfsl.losses import PairBatch, quadruplet_loss, triplet_loss
+from gnssfsl.losses import quadruplet_loss, triplet_loss
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -114,11 +114,11 @@ def _loss_at_distances(d_ap, d_an, d_as=None):
     p[0, 0] = d_ap
     n = np.zeros((1, dim))
     n[0, 1] = d_an
-    s = None
-    if d_as is not None:
-        s = np.zeros((1, dim))
-        s[0, 2] = d_as
-    return PairBatch(a, p, n, similars=s)
+    if d_as is None:
+        return np.stack([a, p, n])
+    s = np.zeros((1, dim))
+    s[0, 2] = d_as
+    return np.stack([a, p, s, n])
 
 
 def test_criterion_3_loss_identities():

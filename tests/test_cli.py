@@ -162,6 +162,18 @@ class TestGenData:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "stage_error"
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--image-size", "0"), ("--image-size", "-3"), ("--total", "0"), ("--total", "-50")],
+    )
+    def test_size_below_one_rejected(self, tmp_path, capsys, flag, value):
+        rc = cli.main(["gen-data", "--out", str(tmp_path), flag, value])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert flag[2:].replace("-", "_") in err["message"]
+        assert not (tmp_path / "corpus").exists()
+
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
@@ -502,6 +514,22 @@ class TestStageErrors:
         assert trained == []
         stages = json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
         assert [e["stage"] for e in stages] == ["gen-data"]
+
+    @pytest.mark.parametrize("iters", ["0", "-5"])
+    def test_embed_without_iterations_rejected(self, pipeline_run, tmp_path, capsys, iters):
+        src, cfg_ce, _ = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(src, run)
+        before = (run / "reports" / "tsne_ce.csv").read_bytes()
+        manifest = (run / "run_manifest.json").read_bytes()
+        capsys.readouterr()
+        rc = cli.main(["embed", "--run", str(run), "--config", str(cfg_ce), "--iters", iters])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "iters" in err["message"]
+        assert (run / "reports" / "tsne_ce.csv").read_bytes() == before
+        assert (run / "run_manifest.json").read_bytes() == manifest
 
     @pytest.mark.parametrize(
         "command, extra", [("adapt", []), ("eval", []), ("embed", ["--iters", "50"])]

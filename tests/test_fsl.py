@@ -407,6 +407,42 @@ class TestTrain:
         assert set(result.train_classes) == set(range(11)) - {3, 7, 9, 10}
 
 
+class TestPairwiseStepGradient:
+    """`_pairwise_step`'s parameter gradient against central differences of its
+    loss: the pairwise loss, the `pairwise_norm` backward and the 1/b scaling."""
+
+    @pytest.mark.parametrize("norm", ["softmax", "l2", "none"])
+    @pytest.mark.parametrize("kind", ["contrastive", "triplet", "quadruplet"])
+    def test_matches_central_differences(self, kind, norm):
+        corpus = toy_corpus({c: 4 for c in range(4)})
+        by_class = fsl._class_index(corpus)
+        classes = sorted(by_class)
+        cfg = TrainConfig(loss=kind, pairwise_norm=norm, alpha=1.0, pair_batch=3)
+        net = init(SMALL, seed=9)
+        # No ReLU or max-pool kink within finite-difference reach of any corpus image.
+        images = [r.image.pixels for r in corpus.records]
+        assert gradcheck._net_kink_margin(net, images) > gradcheck.KINK_MARGIN
+
+        def step():
+            # The same batch every call: the rng is re-seeded.
+            rng = np.random.default_rng(4)
+            return fsl._pairwise_step(net, corpus, by_class, classes, cfg, None, rng)
+
+        _, analytic = step()
+        p0 = net.params.copy()
+
+        def loss_at(params):
+            net.params = params
+            return step()[0]
+
+        # Central differences err by O(eps^2) times the third derivative: at the
+        # default 1e-4, the unnormalized quadruplet's curvature alone gives 8e-4
+        # on one weight, and 8e-6 at 1e-5.
+        numeric = gradcheck.central_diff(loss_at, p0.copy(), eps=1e-5)
+        net.params = p0
+        assert gradcheck.max_rel_err(analytic, numeric) < 1e-4
+
+
 class TestAdapt:
     def _backbone_and_support(self, tiny_corpus, quick_config):
         result = train(tiny_corpus, fsl.replace(quick_config, epochs=1, episodes_per_epoch=1))
@@ -558,6 +594,18 @@ class TestConfig:
             TrainConfig(similarity_map="guessed")
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+        with pytest.raises(ValueError):
+            TrainConfig(loss="contrastive", alpha=0.0)
+        for bad in ({"lr": 0.0}, {"lr": -1.0}, {"decay": -0.1}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                TrainConfig(**bad)
+        for text in (
+            '{"loss": "quadruplet", "alpha1": NaN}',
+            '{"lr": Infinity}',
+            '{"pair_weight": -Infinity}',
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                TrainConfig.from_json(text)
         for name in (
             "episodes_per_epoch", "episode_k_shot", "n_query", "pair_batch", "batch_size", "k_shot"
         ):

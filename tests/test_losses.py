@@ -7,7 +7,6 @@ import gradcheck
 from gnssfsl.losses import (
     QUADRUPLET_MARGIN_GRID,
     TRIPLET_MARGIN_GRID,
-    PairBatch,
     _pair_distances,
     contrastive_loss,
     cross_entropy_batch,
@@ -28,7 +27,7 @@ def cross_entropy(logits, label):
 
 
 def _embed_at_distances(d_ap, d_an, d_as=None):
-    """Place points on orthogonal axes so distances from the anchor are exact."""
+    """Stacked one-row roles on orthogonal axes, so distances from the anchor are exact."""
     dim = 4
     a = np.zeros((1, dim))
     p = np.zeros((1, dim))
@@ -36,10 +35,10 @@ def _embed_at_distances(d_ap, d_an, d_as=None):
     n = np.zeros((1, dim))
     n[0, 1] = d_an
     if d_as is None:
-        return PairBatch(a, p, n)
+        return np.stack([a, p, n])
     s = np.zeros((1, dim))
     s[0, 2] = d_as
-    return PairBatch(a, p, n, similars=s)
+    return np.stack([a, p, s, n])
 
 
 class TestEuclideanDistance:
@@ -71,16 +70,8 @@ class TestContrastive:
         assert loss == 0.0
 
     def test_degenerate_all_equal(self):
-        a = np.ones((2, 3))
-        batch = PairBatch(a, a.copy(), a.copy())
-        loss, _ = contrastive_loss(batch, alpha=2.0)
+        loss, _ = contrastive_loss(np.ones((3, 2, 3)), alpha=2.0)
         assert loss == pytest.approx(2 * 2.0**2)
-
-    def test_empty_batch(self):
-        z = np.zeros((0, 3))
-        loss, grads = contrastive_loss(PairBatch(z, z.copy(), z.copy()), alpha=1.0)
-        assert loss == 0.0
-        assert grads["anchors"].shape == (0, 3)
 
     def test_gradient_oracle(self):
         rng = np.random.default_rng(1)
@@ -100,12 +91,7 @@ class TestTriplet:
     def test_additivity(self):
         b1 = _embed_at_distances(1.0, 4.0)
         b2 = _embed_at_distances(3.0, 2.0)
-        both = PairBatch(
-            np.vstack([b1.anchors, b2.anchors]),
-            np.vstack([b1.positives, b2.positives]),
-            np.vstack([b1.negatives, b2.negatives]),
-        )
-        loss, _ = triplet_loss(both, alpha=2.0)
+        loss, _ = triplet_loss(np.concatenate([b1, b2], axis=1), alpha=2.0)
         assert loss == pytest.approx(0.0 + 3.0)
 
     def test_gradient_oracle(self):
@@ -150,11 +136,10 @@ class TestQuadruplet:
             p = rng.normal(size=(5, 4))
             n = rng.normal(size=(5, 4))
             alpha = float(rng.uniform(0.5, 3.0))
-            trip, _ = triplet_loss(PairBatch(a, p, n), alpha)
+            trip, _ = triplet_loss(np.stack([a, p, n]), alpha)
             # quadruplet with s := n makes d(a,s) = d(a,n) exactly
-            quad_batch = PairBatch(a, p, n, similars=n.copy())
             alpha2 = float(rng.uniform(0.5, 3.0))
-            quad, _ = quadruplet_loss(quad_batch, alpha, alpha2)
+            quad, _ = quadruplet_loss(np.stack([a, p, n, n]), alpha, alpha2)
             second_sum = 5 * alpha2  # every second hinge is max(0 + alpha2, 0)
             assert quad == pytest.approx(trip + second_sum, rel=1e-12)
 
@@ -207,9 +192,9 @@ class TestInvariants:
     def test_non_negativity(self, rows, seed, alpha):
         rng = np.random.default_rng(seed)
         a, p, n, s = (rng.normal(size=(rows, 3)) for _ in range(4))
-        assert contrastive_loss(PairBatch(a, p, n), alpha)[0] >= 0.0
-        assert triplet_loss(PairBatch(a, p, n), alpha)[0] >= 0.0
-        assert quadruplet_loss(PairBatch(a, p, n, similars=s), alpha, alpha)[0] >= 0.0
+        assert contrastive_loss(np.stack([a, p, n]), alpha)[0] >= 0.0
+        assert triplet_loss(np.stack([a, p, n]), alpha)[0] >= 0.0
+        assert quadruplet_loss(np.stack([a, p, s, n]), alpha, alpha)[0] >= 0.0
         logits = rng.normal(size=4)
         assert cross_entropy(logits, 0)[0] >= 0.0
 
@@ -217,6 +202,12 @@ class TestInvariants:
         assert TRIPLET_MARGIN_GRID == (2.0, 3.0, 5.0, 7.0, 10.0, 50.0, 100.0)
         assert len(QUADRUPLET_MARGIN_GRID) == 6
 
-    def test_misaligned_batch_rejected(self):
-        with pytest.raises(ValueError):
-            PairBatch(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 3)))
+    @pytest.mark.parametrize(
+        "loss_fn, roles, margins",
+        [(contrastive_loss, 3, (1.0,)), (triplet_loss, 3, (1.0,)), (quadruplet_loss, 4, (1.0, 2.0))],
+        ids=["contrastive", "triplet", "quadruplet"],
+    )
+    def test_empty_batch(self, loss_fn, roles, margins):
+        loss, grads = loss_fn(np.zeros((roles, 0, 3)), *margins)
+        assert loss == 0.0
+        assert grads.shape == (roles, 0, 3)

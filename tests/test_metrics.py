@@ -186,6 +186,13 @@ class TestTsne:
         with pytest.raises(ValueError):
             tsne(x, perplexity=10.0, iters=10, seed=0)
 
+    @pytest.mark.parametrize("iters", [0, -5])
+    def test_no_iterations_rejected(self, iters):
+        # Zero steps would return the random initial points as a projection.
+        x, _ = self._blobs(20, seed=6)
+        with pytest.raises(ValueError, match="iters"):
+            tsne(x, perplexity=10.0, iters=iters, seed=0)
+
     def test_non_finite_rejected(self):
         x = np.zeros((40, 3))
         x[0, 0] = np.nan
