@@ -483,6 +483,9 @@ class TrainConfig:
             raise ValueError("quadruplet margins must be positive")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.pair_weight <= 0:
+            # Negative ascends the pairwise loss; 0 trains on pairs weighted to nothing.
+            raise ValueError(f"pair_weight (lambda) must be positive, got {self.pair_weight}")
         if self.decay < 0:
             raise ValueError(f"decay must be >= 0, got {self.decay}")
         if self.epochs < 0:

@@ -212,8 +212,10 @@ def tsne(
     sq = np.sum(x**2, axis=1)
     sq_dists = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
     cond = _conditional_probs(sq_dists, perplexity)
-    p = (cond + cond.T) / (2.0 * n)
-    p = np.maximum(p, _EPS)
+    p = np.add(cond, cond.T)
+    del sq_dists, cond
+    p /= 2.0 * n
+    np.maximum(p, _EPS, out=p)
 
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((n, 2)) * 1e-4
@@ -221,19 +223,17 @@ def tsne(
     gains = np.ones_like(y)
     initial_momentum, final_momentum = TSNE_MOMENTUM
 
-    p_run = p * TSNE_EXAGGERATION
     kl_log = []
     # n x n work buffers reused by every iteration: the Gram matrix y y^T
-    # (then scratch for the KL term), the Student-t kernel, and q (then the
-    # gradient matrix). Each step keeps the operand order of the plain
+    # (then scratch for the KL term, then the exaggerated P), the Student-t
+    # kernel, and q (then the gradient matrix). With p they are the only
+    # n x n arrays alive. Each step keeps the operand order of the plain
     # expressions (tests/tsne_reference.py), so the result is bit-for-bit
     # theirs.
     yy = np.empty((n, n))
     num = np.empty((n, n))
     q = np.empty((n, n))
     for it in range(iters):
-        if it == TSNE_EXAGGERATION_ITERS:
-            p_run = p
         ysq = np.sum(y**2, axis=1)
         # num = 1 / (1 + ysq_i + ysq_j - 2 y_i.y_j), zero on the diagonal
         np.matmul(y, y.T, out=yy)
@@ -252,6 +252,12 @@ def tsne(
             yy *= p
             kl_log.append(float(yy.sum()))
 
+        # Formed afresh in the free scratch, p * TSNE_EXAGGERATION has the
+        # bits a kept copy would have, without a fifth n x n buffer.
+        if it < TSNE_EXAGGERATION_ITERS:
+            p_run = np.multiply(p, TSNE_EXAGGERATION, out=yy)
+        else:
+            p_run = p
         # pq = (p_run - q) * num; the gradient matrix is diag(rowsum(pq)) - pq.
         pq = np.subtract(p_run, q, out=q)
         pq *= num

@@ -374,7 +374,8 @@ class EmbeddingNetwork:
 
     # -- forward / backward -------------------------------------------------
 
-    def _prepare_batch(self, batch) -> np.ndarray:
+    def _stack(self, batch) -> np.ndarray:
+        """The batch as one (B, H, W) array of the network's input size."""
         if isinstance(batch, (list, tuple)):
             batch = np.stack(
                 [b.pixels if hasattr(b, "pixels") else np.asarray(b) for b in batch]
@@ -389,6 +390,10 @@ class EmbeddingNetwork:
                 f"image shape {x.shape[1:]}, network expects "
                 f"{self.config.height}x{self.config.width}"
             )
+        return x
+
+    def _prepare_batch(self, batch) -> np.ndarray:
+        x = self._stack(batch)
         if x.dtype == np.uint8:
             x = x.astype(self.config.np_dtype) / np.array(255.0, self.config.np_dtype)
         else:
@@ -402,21 +407,47 @@ class EmbeddingNetwork:
         )
         return np.concatenate([x, coord], axis=1)
 
-    def forward_with_cache(self, batch, with_head: bool = False):
-        """Forward pass returning (output, cache); the cache feeds backward_from."""
+    def forward_with_cache(self, batch, with_head: bool = False, cache: bool = True):
+        """Forward pass returning (output, cache); the cache feeds backward_from.
+
+        With `cache=False` the conv/pool stack and the global average pool
+        run one _TILE_IMAGES tile at a time and keep nothing, so memory does
+        not grow with the batch, and the cache returned is None. Every
+        output bit is as with `cache=True`: each conv call sees the tiles its
+        own loop would use, pooling is per image, and the dense layers still
+        run once on the whole batch (tiling them changes their rounding).
+        """
         if with_head and self._head_index is None:
             raise ValueError("network has no classifier head")
-        x = self._prepare_batch(batch)
+        images = self._stack(batch)
+        n = len(images)
         stop = self._head_index if with_head else self._embed_index
+        span = max(n, 1)  # an empty batch runs as one empty tile
+        tile = span if cache else _TILE_IMAGES
         caches = []
-        for i, layer in enumerate(self._layers[: stop + 1]):
-            x, c = layer.forward(x, self.params[self._param_slice(i)])
+        for start in range(0, span, tile):
+            x = self._prepare_batch(images[start : start + tile])
+            for i, layer in enumerate(self._layers[: self._embed_index]):
+                x, c = layer.forward(x, self.params[self._param_slice(i)])
+                if cache:
+                    caches.append(c)
+            if len(x) == n:  # one tile: its features are the batch's
+                features = x
+            else:
+                if start == 0:
+                    features = np.empty((n,) + x.shape[1:], dtype=x.dtype)
+                features[start : start + len(x)] = x
+        x = features
+        for i in range(self._embed_index, stop + 1):
+            x, c = self._layers[i].forward(x, self.params[self._param_slice(i)])
             caches.append(c)
+        if not cache:
+            return x, None
         return x, {"caches": caches, "stop": stop}
 
     def infer(self, batch, with_head: bool = False) -> np.ndarray:
-        """Forward pass for inference; keeps no cache for backward."""
-        out, _ = self.forward_with_cache(batch, with_head)
+        """Forward pass for inference, tile by tile; keeps no cache for backward."""
+        out, _ = self.forward_with_cache(batch, with_head, cache=False)
         return out
 
     def backward_from(self, cache, grad_out: np.ndarray) -> np.ndarray:

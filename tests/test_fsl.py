@@ -596,7 +596,9 @@ class TestConfig:
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             TrainConfig(loss="contrastive", alpha=0.0)
-        for bad in ({"lr": 0.0}, {"lr": -1.0}, {"decay": -0.1}):
+        for bad in (
+            {"lr": 0.0}, {"lr": -1.0}, {"decay": -0.1}, {"pair_weight": 0.0}, {"pair_weight": -1.0}
+        ):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TrainConfig(**bad)
         for text in (

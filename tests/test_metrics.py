@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gnssfsl import metrics
 from gnssfsl.metrics import (
+    TSNE_EXAGGERATION_ITERS,
     ConfusionMatrix,
     binary_detection_metrics,
     confusion,
@@ -208,6 +211,20 @@ class TestTsne:
         x = np.random.default_rng(6).normal(size=(n, 4))
         with pytest.raises(ValueError, match="perplexity"):
             tsne(x, perplexity=perplexity, iters=10, seed=0)
+
+    def test_keeps_four_n_by_n_buffers(self):
+        # P, the Gram/KL/exaggeration scratch, the kernel and Q; the distance
+        # and conditional matrices are released before the loop, and the
+        # exaggerated P is not kept beside P.
+        n = 323
+        x = np.random.default_rng(0).normal(size=(n, 32))
+        tracemalloc.start()
+        try:
+            tsne(x, iters=TSNE_EXAGGERATION_ITERS + 10, seed=1, return_info=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n * n * 8
 
 
 class TestTsneMatchesReference:
