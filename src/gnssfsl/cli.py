@@ -658,7 +658,10 @@ def cmd_embed(args) -> None:
     points = metrics.tsne(emb, perplexity=perplexity, iters=args.iters, seed=config.seed)
     out = _subdir(run_dir, "reports") / f"tsne_{name}.csv"
     metrics.write_points_csv(out, points, test.labels())
-    _append_stage(run_dir, f"embed:{name}", t0, {"tsne": f"reports/tsne_{name}.csv"}, identity=config)
+    _append_stage(
+        run_dir, f"embed:{name}", t0, {"tsne": f"reports/tsne_{name}.csv"},
+        identity=config, perplexity=perplexity, iters=args.iters,
+    )
     print(f"projection written to {out}")
 
 

@@ -313,6 +313,10 @@ def build_similarity_map(
     samples whose ensemble-mean prediction puts c' in its top-2. Pairs must
     clear both an absolute floor and the per-class quantile threshold.
     """
+    # Checked here, not left to np.quantile: when no class clears min_stat,
+    # np.quantile never runs.
+    if not 0.0 <= quantile <= 1.0:  # also false for NaN
+        raise ValueError(f"quantile must lie in [0, 1], got {quantile}")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("empty validation set")

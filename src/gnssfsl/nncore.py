@@ -393,19 +393,24 @@ class EmbeddingNetwork:
         return x
 
     def _prepare_batch(self, batch) -> np.ndarray:
-        x = self._stack(batch)
+        return self._planes(self._stack(batch))
+
+    def _planes(self, x: np.ndarray) -> np.ndarray:
+        """A fresh (B, 2, H, W) network input for a checked (B, H, W) stack:
+        the pixels (u8 scaled to [0, 1]) and the frequency coordinate.
+
+        Fresh on every call: with a cache it is layer 0's kept input.
+        """
+        dtype = self.config.np_dtype
+        out = np.empty((len(x), 2) + x.shape[1:], dtype=dtype)
         if x.dtype == np.uint8:
-            x = x.astype(self.config.np_dtype) / np.array(255.0, self.config.np_dtype)
+            np.divide(x, dtype(255.0), out=out[:, 0], dtype=dtype)
         else:
-            x = x.astype(self.config.np_dtype)
-        x = x[:, None, :, :]
+            out[:, 0] = x
         # Global average pooling is otherwise blind to where along the
         # frequency axis energy sits, and tone classes are defined by that.
-        ramp = _freq_ramp(self.config.height, self.config.np_dtype)
-        coord = np.broadcast_to(
-            ramp[None, None, :, None], (x.shape[0], 1, self.config.height, self.config.width)
-        )
-        return np.concatenate([x, coord], axis=1)
+        out[:, 1] = _freq_ramp(self.config.height, dtype)[:, None]
+        return out
 
     def forward_with_cache(self, batch, with_head: bool = False, cache: bool = True):
         """Forward pass returning (output, cache); the cache feeds backward_from.
@@ -426,7 +431,7 @@ class EmbeddingNetwork:
         tile = span if cache else _TILE_IMAGES
         caches = []
         for start in range(0, span, tile):
-            x = self._prepare_batch(images[start : start + tile])
+            x = self._planes(images[start : start + tile])
             for i, layer in enumerate(self._layers[: self._embed_index]):
                 x, c = layer.forward(x, self.params[self._param_slice(i)])
                 if cache:

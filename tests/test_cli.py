@@ -515,6 +515,24 @@ class TestStageErrors:
         stages = json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
         assert [e["stage"] for e in stages] == ["gen-data"]
 
+    def test_mine_rejects_quantile_outside_unit_interval(self, tmp_path, capsys):
+        # A one-member ensemble has every epistemic trace 0, so no class
+        # clears the floor and np.quantile would never check the quantile.
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
+        cfg = quick_config_file(tmp_path)
+        argv = ["ensemble", "--run", str(tmp_path), "--config", str(cfg), "--members", "1"]
+        assert cli.main(argv) == 0
+        manifest = (tmp_path / "run_manifest.json").read_bytes()
+        for quantile in ("5", "nan"):
+            capsys.readouterr()
+            rc = cli.main(["mine", "--run", str(tmp_path), "--quantile", quantile])
+            assert rc == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError"
+            assert "quantile" in err["message"]
+            assert not (tmp_path / "similarity_map.json").exists()
+            assert (tmp_path / "run_manifest.json").read_bytes() == manifest
+
     @pytest.mark.parametrize("iters", ["0", "-5"])
     def test_embed_without_iterations_rejected(self, pipeline_run, tmp_path, capsys, iters):
         src, cfg_ce, _ = pipeline_run
@@ -530,6 +548,23 @@ class TestStageErrors:
         assert "iters" in err["message"]
         assert (run / "reports" / "tsne_ce.csv").read_bytes() == before
         assert (run / "run_manifest.json").read_bytes() == manifest
+
+    @pytest.mark.parametrize("requested, clamped", [("5", False), ("1e9", True)])
+    def test_embed_records_effective_settings(
+        self, pipeline_run, tmp_path, requested, clamped
+    ):
+        src, cfg_ce, _ = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(src, run)
+        argv = ["embed", "--run", str(run), "--config", str(cfg_ce), "--iters", "20"]
+        assert cli.main(argv + ["--perplexity", requested]) == 0
+        entry = json.loads((run / "run_manifest.json").read_text())["stages"][-1]
+        assert entry["stage"] == "embed:ce"
+        assert entry["iters"] == 20
+        n = len(load_corpus(run / "corpus" / "manifest.json").subset(split="test").records)
+        cap = (n - 1) / 3.0 - 1e-9
+        assert entry["perplexity"] == (cap if clamped else 5.0)
+        assert (entry["perplexity"] < float(requested)) is clamped
 
     @pytest.mark.parametrize(
         "command, extra", [("adapt", []), ("eval", []), ("embed", ["--iters", "50"])]

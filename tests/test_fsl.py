@@ -271,6 +271,20 @@ class TestSimilarityMap:
         ]
         assert self._mine(members, data).ranked == {}
 
+    @pytest.mark.parametrize("quantile", [5.0, -0.1, float("nan")])
+    def test_quantile_outside_unit_interval_rejected_with_zero_traces(self, quantile):
+        # One member: every epistemic trace is 0, so no class clears
+        # min_stat and np.quantile never sees the quantile.
+        rng = np.random.default_rng(4)
+        raw = rng.gamma(0.5, size=(1, 12, 3))
+        probs = raw / raw.sum(axis=2, keepdims=True)
+        report = decompose_uncertainty(probs)
+        assert np.all(report.epistemic_trace == 0.0)
+        labels = np.arange(12) % 3
+        assert build_similarity_map(report, labels, quantile=1.0).ranked == {}
+        with pytest.raises(ValueError, match="quantile"):
+            build_similarity_map(report, labels, quantile=quantile)
+
     def test_shuffle_invariance(self):
         cfg = ArchConfig(height=8, width=8, conv_channels=(2,), embed_dim=4, num_classes=3)
         members = [init(cfg, seed=s) for s in (1, 2, 3)]

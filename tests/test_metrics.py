@@ -226,13 +226,43 @@ class TestTsne:
             tracemalloc.stop()
         assert peak < 5 * n * n * 8
 
+    def test_plain_run_keeps_p_and_one_work_array(self):
+        # P, the work array and two row-block scratches; the distance matrix
+        # is released before P is formed from the conditionals.
+        n = 416
+        x = np.random.default_rng(0).normal(size=(n, 32))
+        tracemalloc.start()
+        try:
+            tsne(x, iters=TSNE_EXAGGERATION_ITERS + 10, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8
+
+    @pytest.mark.parametrize("n", [1, 4, 97, 416, 417, 640, 777, 5000])
+    def test_row_blocks_tile_the_rows(self, n):
+        spans = metrics._row_blocks(n)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(b == c for (_, b), (c, _) in zip(spans, spans[1:]))
+        rows = spans[0][1]
+        assert rows * n * 8 <= max(metrics._TSNE_BLOCK_BYTES, n * 8)
+        assert all(0 < b - a <= rows for a, b in spans)
+
 
 class TestTsneMatchesReference:
     """metrics.tsne equals the allocating reference loop bit for bit.
 
     iters below 100 stay in early exaggeration, 100-250 cross the
     exaggeration switch, above 250 also cross the momentum switch.
+    n = 97 fits one row block, 417 ends in a shorter block, and 640 runs in
+    at least five blocks (test_row_block_cases).
     """
+
+    def test_row_block_cases(self):
+        assert len(metrics._row_blocks(97)) == 1
+        a, b = metrics._row_blocks(417)[-1]
+        assert b - a < metrics._row_blocks(417)[0][1]
+        assert len(metrics._row_blocks(640)) >= 5
 
     @pytest.mark.parametrize(
         "n, dtype, perplexity, seed, iters",
@@ -243,6 +273,10 @@ class TestTsneMatchesReference:
             (100, np.float32, 10.0, 7, 260),
             (416, np.float32, 30.0, 42, 270),
             (416, np.float64, 50.0, 5, 120),
+            (97, np.float32, 20.0, 2, 260),
+            (97, np.float64, 30.0, 9, 255),
+            (417, np.float64, 30.0, 11, 270),
+            (640, np.float32, 40.0, 4, 260),
         ],
     )
     def test_points_and_kl_identical(self, n, dtype, perplexity, seed, iters):
