@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fsl, losses, metrics, nncore, siggen, spectro, uncertainty
+from . import fsl, metrics, nncore, siggen, spectro, uncertainty
 from .fsl import SimilarityMap, TrainConfig
 
 # Field-study class frequencies used to shape synthetic corpora.
@@ -434,20 +434,16 @@ def cmd_gen_data(args) -> None:
     print(f"corpus written to {run_dir / 'corpus'}")
 
 
-def _resolve_sim_map(run_dir: Path, source: str) -> SimilarityMap:
-    """The similar-class map a quadruplet training uses: the fixture or the mined map."""
-    if source == "paper_fixture":
-        return fsl.load_fixture_map()
-    path = _require(run_dir / "similarity_map.json", "similarity map (run mine first)")
-    return SimilarityMap.load(path)
-
-
 def cmd_train(args) -> None:
     t0 = time.perf_counter()
     run_dir = Path(args.run)
     config = _load_config(args)
     name = args.name or config.loss
-    sim_map = _resolve_sim_map(run_dir, config.similarity_map) if config.loss == "quadruplet" else None
+    sim_map = None  # fsl.train's default for quadruplet: the built-in fixture
+    if config.loss == "quadruplet" and config.similarity_map == "computed":
+        # Read before the corpus loads, so a missing mined map fails before any training.
+        path = _require(run_dir / "similarity_map.json", "similarity map (run mine first)")
+        sim_map = SimilarityMap.load(path)
     corpus = _load_run_corpus(run_dir)
     try:
         result = fsl.train(corpus, config, sim_map=sim_map)
@@ -583,7 +579,7 @@ def _adaptation_scores(classifier, corpus: spectro.LabeledCorpus, adaptation_cla
 def adaptation_report(net, corpus: spectro.LabeledCorpus, adaptation_classes, k: int):
     """Few-shot scoring of the held-out classes: adapt with k shots, classify,
     summarize. Returns (adaptation_macro_accuracy, adaptation_macro_f2,
-    confusion matrix), the numbers `eval` and `sweep` report."""
+    confusion matrix), the numbers `eval` reports."""
     classifier = _classifier(net, corpus, adaptation_classes, k)
     return _adaptation_scores(classifier, corpus, adaptation_classes)
 
@@ -665,38 +661,6 @@ def cmd_embed(args) -> None:
     print(f"projection written to {out}")
 
 
-def cmd_sweep(args) -> None:
-    """Margin grid search, one desk-scale training per setting."""
-    t0 = time.perf_counter()
-    run_dir = Path(args.run)
-    config = _load_config(args)
-    settings = []
-    if args.grid in ("triplet", "both"):
-        settings += [("triplet", a, None) for a in losses.TRIPLET_MARGIN_GRID]
-    if args.grid in ("quadruplet", "both"):
-        settings += [("quadruplet", a1, a2) for a1, a2 in losses.QUADRUPLET_MARGIN_GRID]
-    # Resolved before any training, so a missing computed map fails fast.
-    sim_map = _resolve_sim_map(run_dir, config.similarity_map) if args.grid != "triplet" else None
-    corpus = _load_run_corpus(run_dir)
-    rows = []
-    for loss, m1, m2 in settings:
-        if loss == "triplet":
-            cfg = replace(config, loss=loss, alpha=m1)
-        else:
-            cfg = replace(config, loss=loss, alpha1=m1, alpha2=m2)
-        result = fsl.train(corpus, cfg, sim_map=sim_map)
-        _, f2, cm = adaptation_report(result.network, corpus, cfg.adaptation_classes, cfg.k_shot)
-        f1 = metrics.macro_f_beta(cm, 1.0, sorted(cfg.adaptation_classes))
-        rows.append((loss, f"{m1:g}", "" if m2 is None else f"{m2:g}", f2, f1))
-    out = _subdir(run_dir, "reports") / "margin_sweep.csv"
-    with open(out, "w", newline="") as fh:
-        fh.write("loss,alpha1,alpha2,adaptation_macro_f2,adaptation_macro_f1\n")
-        for loss, m1, m2, f2, f1 in rows:
-            fh.write(f"{loss},{m1},{m2},{f2:.9f},{f1:.9f}\n")
-    _append_stage(run_dir, "sweep", t0, {"sweep": "reports/margin_sweep.csv"}, grid=args.grid)
-    print(f"sweep written to {out}")
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -752,11 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perplexity", type=float, default=30.0)
     p.add_argument("--iters", type=int, default=500)
     p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("sweep", help="margin grid search")
-    _add_common(p)
-    p.add_argument("--grid", choices=("triplet", "quadruplet", "both"), default="both")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -443,7 +443,7 @@ _STEP_COUNTS = (
 
 @dataclass
 class TrainConfig:
-    loss: str = "ce"  # ce | contrastive | triplet | quadruplet
+    loss: str = "ce"  # ce | triplet | quadruplet
     alpha: float = 100.0
     alpha1: float = 2.0
     alpha2: float = 5.0
@@ -473,7 +473,7 @@ class TrainConfig:
             value = getattr(self, f.name)
             if not check(value):
                 raise ValueError(f"config field {f.name!r} must be {what}, got {value!r}")
-        if self.loss not in ("ce", "contrastive", "triplet", "quadruplet"):
+        if self.loss not in ("ce", "triplet", "quadruplet"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.similarity_map not in ("computed", "paper_fixture"):
             raise ValueError(f"unknown similarity_map source {self.similarity_map!r}")
@@ -481,7 +481,7 @@ class TrainConfig:
             raise ValueError(f"unknown pretrain mode {self.pretrain!r}")
         if self.pairwise_norm not in ("softmax", "l2", "none"):
             raise ValueError(f"unknown pairwise_norm {self.pairwise_norm!r}")
-        if self.loss in ("contrastive", "triplet") and self.alpha <= 0:
+        if self.loss == "triplet" and self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.loss == "quadruplet" and (self.alpha1 <= 0 or self.alpha2 <= 0):
             raise ValueError("quadruplet margins must be positive")
@@ -510,15 +510,16 @@ class TrainConfig:
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+        # JSON names the pair weight "lambda" only, as to_json writes it.
+        known = (set(cls.__dataclass_fields__) - {"pair_weight"}) | {"lambda"}
+        extra = set(d) - known
+        if extra:
+            raise ValueError(f"unknown config keys: {sorted(extra)}")
         if "lambda" in d:
             d["pair_weight"] = d.pop("lambda")
         for key in ("adaptation_classes", "conv_channels"):
             if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
         return cls(**d)
 
     def arch(self, shape: tuple, num_classes: Optional[int] = None) -> ArchConfig:
@@ -588,10 +589,8 @@ def _pairwise_step(
     parts = normed.reshape(roles, b, -1)
     if config.loss == "quadruplet":
         loss, d_parts = losses_mod.quadruplet_loss(parts, config.alpha1, config.alpha2)
-    elif config.loss == "triplet":
+    else:
         loss, d_parts = losses_mod.triplet_loss(parts, config.alpha)
-    else:  # contrastive
-        loss, d_parts = losses_mod.contrastive_loss(parts, config.alpha)
     # Average over pairs so the weight is batch-size independent.
     pgrad = net.backward_from(cache, back(d_parts.reshape(normed.shape) / b))
     return loss / b, pgrad

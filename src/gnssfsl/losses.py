@@ -1,8 +1,8 @@
-"""Batched cross-entropy and the three pairwise embedding losses, with exact gradients.
+"""Batched cross-entropy and the two pairwise embedding losses, with exact gradients.
 
 Each pairwise loss takes one stacked `(roles, B, D)` array of embeddings whose
-rows are in sampling order: (anchor, positive, negative) for contrastive and
-triplet, (anchor, positive, similar, negative) for quadruplet. It returns
+rows are in sampling order: (anchor, positive, negative) for triplet,
+(anchor, positive, similar, negative) for quadruplet. It returns
 `(loss, gradient)`, with the gradient shaped like the input. Losses sum over
 the B batch elements, so B = 0 gives loss 0.0. Hinges take subgradient 0 at
 the kink, so satisfied pairs contribute nothing to the gradient.
@@ -11,17 +11,6 @@ the kink, so satisfied pairs contribute nothing to the gradient.
 from __future__ import annotations
 
 import numpy as np
-
-# Margin grids that `gnssfsl sweep` trains, one model per setting.
-TRIPLET_MARGIN_GRID = (2.0, 3.0, 5.0, 7.0, 10.0, 50.0, 100.0)
-QUADRUPLET_MARGIN_GRID = (
-    (2.0, 5.0),
-    (5.0, 6.0),
-    (5.0, 10.0),
-    (10.0, 50.0),
-    (50.0, 60.0),
-    (50.0, 100.0),
-)
 
 _D_EPS = 1e-12  # distance floor guarding 1/d at coincident points
 
@@ -36,23 +25,6 @@ def _unit_diff(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
     out = (a - b) / safe
     out[d <= _D_EPS] = 0.0
     return out
-
-
-def contrastive_loss(parts: np.ndarray, alpha: float):
-    """Squared pull on positive pairs plus squared hinge push on negatives.
-
-    loss = sum_i d(a,p)^2 + max(alpha - d(a,n), 0)^2
-    """
-    if alpha <= 0:
-        raise ValueError("margin must be positive")
-    a, p, n = parts
-    diff_ap = a - p
-    d_an = _pair_distances(a, n)
-    hinge = np.maximum(alpha - d_an, 0.0)
-    loss = float(np.sum(diff_ap**2) + np.sum(hinge**2))
-    # d/d a of max(alpha - d, 0)^2 = -2 * hinge * (a - n)/d on the active set
-    push = -2.0 * hinge[:, None] * _unit_diff(a, n, d_an)
-    return loss, np.stack([2.0 * diff_ap + push, -2.0 * diff_ap, -push])
 
 
 def triplet_loss(parts: np.ndarray, alpha: float):

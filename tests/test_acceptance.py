@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gradcheck
-from gnssfsl import cli, fsl, losses, metrics, spectro, uncertainty
+from gnssfsl import cli, fsl, metrics, spectro, uncertainty
 from gnssfsl.losses import quadruplet_loss, triplet_loss
 
 
@@ -38,7 +38,7 @@ def test_criterion_1_gradient_oracle():
     worst = {}
     for kind in sorted(gradcheck.LAYER_INSTANCES):
         worst[f"layer:{kind}"] = max(gradcheck.check_layer(kind, rng) for _ in range(100))
-    for kind in ("contrastive", "triplet", "quadruplet"):
+    for kind in ("triplet", "quadruplet"):
         worst[f"loss:{kind}"] = max(
             gradcheck.check_pairwise_loss(kind, rng) for _ in range(100)
         )
@@ -125,7 +125,7 @@ def test_criterion_3_loss_identities():
     grid = np.linspace(0.0, 120.0, 20)
     violations = 0
     checks = 0
-    for alpha in losses.TRIPLET_MARGIN_GRID:
+    for alpha in gradcheck.PAPER_TRIPLET_MARGINS:
         for d_ap in grid:
             for d_an in grid:
                 loss, _ = triplet_loss(_loss_at_distances(d_ap, d_an), alpha)
@@ -133,7 +133,7 @@ def test_criterion_3_loss_identities():
                 checks += 1
                 if satisfied != (loss == 0.0):
                     violations += 1
-    for alpha1, alpha2 in losses.QUADRUPLET_MARGIN_GRID:
+    for alpha1, alpha2 in gradcheck.PAPER_QUADRUPLET_MARGINS:
         for d_ap in grid:
             for d_as in grid:
                 for d_an in grid:

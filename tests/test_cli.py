@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 import shutil
 import struct
 import tempfile
@@ -44,6 +45,27 @@ def quick_config_file(tmp_path: Path, **overrides) -> Path:
     path = tmp_path / f"config_{overrides.get('loss', 'ce')}.json"
     path.write_text(cfg.to_json())
     return path
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadme:
+    def test_cli_commands_parse(self):
+        # A subcommand or flag deleted from the CLI but left in the docs fails here.
+        prefix = "python -m gnssfsl.cli "
+        commands = [
+            line.strip()[len(prefix):]
+            for line in README.read_text().splitlines()
+            if line.strip().startswith(prefix)
+        ]
+        assert commands
+        parser = cli.build_parser()
+        for command in commands:
+            try:
+                parser.parse_args(shlex.split(command))
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}")
 
 
 class TestClassCounts:
@@ -283,19 +305,6 @@ class TestPipeline:
         assert (run / "similarity_map.json").read_bytes() == before
 
 
-class TestSweep:
-    def test_triplet_grid_emits_all_rows(self, pipeline_run):
-        run, cfg_ce, _ = pipeline_run
-        rc = cli.main(
-            ["sweep", "--run", str(run), "--config", str(cfg_ce), "--grid", "triplet"]
-        )
-        assert rc == 0
-        lines = (run / "reports" / "margin_sweep.csv").read_text().strip().splitlines()
-        assert lines[0] == "loss,alpha1,alpha2,adaptation_macro_f2,adaptation_macro_f1"
-        alphas = [float(l.split(",")[1]) for l in lines[1:]]
-        assert alphas == [2, 3, 5, 7, 10, 50, 100]
-
-
 class TestStageErrors:
     def test_missing_corpus_names_file(self, tmp_path, capsys):
         cfg = quick_config_file(tmp_path)
@@ -353,19 +362,36 @@ class TestStageErrors:
         assert stage("adapt", cfg_face, "ce") == 1
         assert "config hash mismatch" in json.loads(capsys.readouterr().err)["message"]
 
-    def test_sweep_with_computed_map_needs_mined_map(self, tmp_path, capsys, monkeypatch):
+    def test_train_with_computed_map_needs_mined_map(self, tmp_path, capsys, monkeypatch):
         assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
-        cfg = quick_config_file(tmp_path, similarity_map="computed")
+        cfg = quick_config_file(tmp_path, loss="quadruplet", similarity_map="computed")
         trained = []
         monkeypatch.setattr(fsl, "train", lambda *a, **k: trained.append(1))
         capsys.readouterr()
-        rc = cli.main(["sweep", "--run", str(tmp_path), "--config", str(cfg), "--grid", "both"])
+        rc = cli.main(["train", "--run", str(tmp_path), "--config", str(cfg)])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "stage_error"
         assert "similarity map" in err["message"]
         assert trained == []
-        assert not (tmp_path / "reports" / "margin_sweep.csv").exists()
+        assert not (tmp_path / "checkpoints" / "quadruplet.gnssnet").exists()
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"lambda": 2, "pair_weight": 3}', "unknown config keys: ['pair_weight']"),
+            ('{"loss": "contrastive"}', "unknown loss 'contrastive'"),
+        ],
+        ids=["two-pair-weights", "contrastive"],
+    )
+    def test_rejected_config_exits_with_json_error(self, tmp_path, capsys, text, match):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        rc = cli.main(["train", "--run", str(tmp_path), "--config", str(cfg)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert match in err["message"]
 
     @pytest.mark.parametrize(
         "counts",

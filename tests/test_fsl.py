@@ -426,7 +426,7 @@ class TestPairwiseStepGradient:
     loss: the pairwise loss, the `pairwise_norm` backward and the 1/b scaling."""
 
     @pytest.mark.parametrize("norm", ["softmax", "l2", "none"])
-    @pytest.mark.parametrize("kind", ["contrastive", "triplet", "quadruplet"])
+    @pytest.mark.parametrize("kind", ["triplet", "quadruplet"])
     def test_matches_central_differences(self, kind, norm):
         corpus = toy_corpus({c: 4 for c in range(4)})
         by_class = fsl._class_index(corpus)
@@ -598,6 +598,10 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig.from_json('{"loss": "ce", "mystery": 1}')
+        # The weight's one JSON name is "lambda", so a file cannot give two weights.
+        for text in ('{"pair_weight": 3}', '{"lambda": 2, "pair_weight": 3}'):
+            with pytest.raises(ValueError, match=r"unknown config keys: \['pair_weight'\]"):
+                TrainConfig.from_json(text)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -608,8 +612,8 @@ class TestConfig:
             TrainConfig(similarity_map="guessed")
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(loss="contrastive", alpha=0.0)
+        with pytest.raises(ValueError, match="unknown loss 'contrastive'"):
+            TrainConfig(loss="contrastive")
         for bad in (
             {"lr": 0.0}, {"lr": -1.0}, {"decay": -0.1}, {"pair_weight": 0.0}, {"pair_weight": -1.0}
         ):
@@ -618,7 +622,7 @@ class TestConfig:
         for text in (
             '{"loss": "quadruplet", "alpha1": NaN}',
             '{"lr": Infinity}',
-            '{"pair_weight": -Infinity}',
+            '{"lambda": -Infinity}',
         ):
             with pytest.raises(ValueError, match="finite"):
                 TrainConfig.from_json(text)

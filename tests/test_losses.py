@@ -4,15 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradcheck
-from gnssfsl.losses import (
-    QUADRUPLET_MARGIN_GRID,
-    TRIPLET_MARGIN_GRID,
-    _pair_distances,
-    contrastive_loss,
-    cross_entropy_batch,
-    quadruplet_loss,
-    triplet_loss,
-)
+from gnssfsl.losses import _pair_distances, cross_entropy_batch, quadruplet_loss, triplet_loss
 
 
 def euclidean_distance(u, v) -> float:
@@ -63,22 +55,6 @@ class TestEuclideanDistance:
         assert euclidean_distance(a, b) == pytest.approx(euclidean_distance(b, a))
 
 
-class TestContrastive:
-    def test_satisfied_pair_zero(self):
-        batch = _embed_at_distances(0.0, 3.0)
-        loss, _ = contrastive_loss(batch, alpha=2.0)
-        assert loss == 0.0
-
-    def test_degenerate_all_equal(self):
-        loss, _ = contrastive_loss(np.ones((3, 2, 3)), alpha=2.0)
-        assert loss == pytest.approx(2 * 2.0**2)
-
-    def test_gradient_oracle(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            assert gradcheck.check_pairwise_loss("contrastive", rng) < 1e-4
-
-
 class TestTriplet:
     def test_satisfied(self):
         loss, _ = triplet_loss(_embed_at_distances(1.0, 4.0), alpha=2.0)
@@ -114,7 +90,7 @@ class TestQuadruplet:
 
     def test_margin_grid_accepted(self):
         batch = _embed_at_distances(1.0, 1.0, d_as=1.0)
-        for a1, a2 in QUADRUPLET_MARGIN_GRID:
+        for a1, a2 in gradcheck.PAPER_QUADRUPLET_MARGINS:
             loss, _ = quadruplet_loss(batch, a1, a2)
             assert np.isfinite(loss)
 
@@ -192,20 +168,15 @@ class TestInvariants:
     def test_non_negativity(self, rows, seed, alpha):
         rng = np.random.default_rng(seed)
         a, p, n, s = (rng.normal(size=(rows, 3)) for _ in range(4))
-        assert contrastive_loss(np.stack([a, p, n]), alpha)[0] >= 0.0
         assert triplet_loss(np.stack([a, p, n]), alpha)[0] >= 0.0
         assert quadruplet_loss(np.stack([a, p, s, n]), alpha, alpha)[0] >= 0.0
         logits = rng.normal(size=4)
         assert cross_entropy(logits, 0)[0] >= 0.0
 
-    def test_margin_grids_match_config(self):
-        assert TRIPLET_MARGIN_GRID == (2.0, 3.0, 5.0, 7.0, 10.0, 50.0, 100.0)
-        assert len(QUADRUPLET_MARGIN_GRID) == 6
-
     @pytest.mark.parametrize(
         "loss_fn, roles, margins",
-        [(contrastive_loss, 3, (1.0,)), (triplet_loss, 3, (1.0,)), (quadruplet_loss, 4, (1.0, 2.0))],
-        ids=["contrastive", "triplet", "quadruplet"],
+        [(triplet_loss, 3, (1.0,)), (quadruplet_loss, 4, (1.0, 2.0))],
+        ids=["triplet", "quadruplet"],
     )
     def test_empty_batch(self, loss_fn, roles, margins):
         loss, grads = loss_fn(np.zeros((roles, 0, 3)), *margins)

@@ -212,10 +212,10 @@ class TestTsne:
         with pytest.raises(ValueError, match="perplexity"):
             tsne(x, perplexity=perplexity, iters=10, seed=0)
 
-    def test_keeps_four_n_by_n_buffers(self):
-        # P, the Gram/KL/exaggeration scratch, the kernel and Q; the distance
-        # and conditional matrices are released before the loop, and the
-        # exaggerated P is not kept beside P.
+    def test_info_run_keeps_p_work_array_kl_scratch_and_row_blocks(self):
+        # P, the work array, the n x n KL scratch and two row-block scratches:
+        # under four n x n buffers, so a return to a fourth full buffer fails.
+        # The distance and conditional matrices are released before the loop.
         n = 323
         x = np.random.default_rng(0).normal(size=(n, 32))
         tracemalloc.start()
@@ -224,7 +224,7 @@ class TestTsne:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5 * n * n * 8
+        assert peak < 4 * n * n * 8
 
     def test_plain_run_keeps_p_and_one_work_array(self):
         # P, the work array and two row-block scratches; the distance matrix
