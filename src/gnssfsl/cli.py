@@ -494,26 +494,37 @@ def cmd_ensemble(args) -> None:
     print(f"{args.members} ensemble members written to {ckpt_dir}")
 
 
-def _load_ensemble(run_dir: Path) -> tuple[uncertainty.Ensemble, TrainConfig]:
-    """The members and the config of the run's latest ensemble stage."""
+def _load_ensemble(
+    run_dir: Path, corpus: spectro.LabeledCorpus
+) -> tuple[uncertainty.Ensemble, list]:
+    """The members of the run's latest ensemble stage and the base classes
+    their heads score."""
     entry = _find_stage(run_dir, "ensemble")
     if entry is None:
         raise StageError("missing upstream artifact: ensemble checkpoints (run ensemble first)",
                          file=str(run_dir / "checkpoints"))
     config = TrainConfig.from_json(json.dumps(entry.get("config")))
+    train_classes = sorted(set(corpus.classes()) - set(config.adaptation_classes))
+    artifacts = entry.get("artifacts", {})
     members = []
-    for key in sorted(entry["artifacts"]):
-        path = _require(run_dir / entry["artifacts"][key], f"ensemble member {key}")
+    for key in sorted(artifacts):
+        path = _require(run_dir / artifacts[key], f"ensemble member {key}")
         members.append(nncore.load_checkpoint(path))
-    return uncertainty.Ensemble(members), config
+    ensemble = uncertainty.Ensemble(members)
+    heads = members[0].config.num_classes
+    if heads != len(train_classes):
+        raise ValueError(
+            f"ensemble members have {heads}-class heads, but the run has "
+            f"{len(train_classes)} base classes"
+        )
+    return ensemble, train_classes
 
 
 def cmd_mine(args) -> None:
     t0 = time.perf_counter()
     run_dir = Path(args.run)
     corpus = _load_run_corpus(run_dir)
-    ensemble, config = _load_ensemble(run_dir)
-    train_classes = sorted(set(corpus.classes()) - set(config.adaptation_classes))
+    ensemble, train_classes = _load_ensemble(run_dir, corpus)
     val = corpus.subset(split="val", classes=set(train_classes))
     remap = {c: i for i, c in enumerate(train_classes)}
     images = [r.image.pixels for r in val.records]

@@ -376,46 +376,36 @@ def sample_quadruplet_indices(
     The similar class is drawn from the map entry for the anchor class; when
     that entry is empty, from all other classes.
     """
+    return _sample_roles(by_class, sim_map, anchor_class, rng, roles=4)
+
+
+def _sample_roles(by_class, sim_map, anchor_class, rng, roles):
+    """Indices for (anchor, positive, similar, negative), or for (anchor,
+    positive, negative) when `roles` is 3: the same draws without the similar
+    class and the similar sample."""
     classes = sorted(by_class)
-    if len(classes) < 3:
-        raise ValueError(f"need at least 3 classes, corpus has {len(classes)}")
+    if len(classes) < roles - 1:
+        raise ValueError(f"need at least {roles - 1} classes, corpus has {len(classes)}")
     if anchor_class not in by_class or len(by_class[anchor_class]) < 2:
         raise ValueError(f"anchor class {anchor_class} needs at least 2 samples")
 
-    a_i, p_i = rng.choice(len(by_class[anchor_class]), size=2, replace=False)
-
-    candidates = []
-    if sim_map is not None:
-        candidates = [c for c in sim_map.get(anchor_class) if c in by_class and c != anchor_class]
-    if not candidates:
-        candidates = [c for c in classes if c != anchor_class]
-    s_class = int(candidates[rng.integers(len(candidates))])
-
-    n_classes = [c for c in classes if c not in (anchor_class, s_class)]
-    if not n_classes:
-        raise ValueError("no class left for the negative sample")
-    n_class = int(n_classes[rng.integers(len(n_classes))])
+    anchor = by_class[anchor_class]
+    a_i, p_i = rng.choice(len(anchor), size=2, replace=False)
+    drawn = [anchor_class]
+    if roles == 4:
+        candidates = []
+        if sim_map is not None:
+            candidates = [c for c in sim_map.get(anchor_class) if c in by_class]
+        if not candidates:
+            candidates = [c for c in classes if c != anchor_class]
+        drawn.append(int(candidates[rng.integers(len(candidates))]))
+    n_classes = [c for c in classes if c not in drawn]
+    drawn.append(int(n_classes[rng.integers(len(n_classes))]))
     return (
-        by_class[anchor_class][a_i],
-        by_class[anchor_class][p_i],
-        by_class[s_class][rng.integers(len(by_class[s_class]))],
-        by_class[n_class][rng.integers(len(by_class[n_class]))],
+        anchor[a_i],
+        anchor[p_i],
+        *(by_class[c][rng.integers(len(by_class[c]))] for c in drawn[1:]),
     )
-
-
-def sample_triplet_indices(
-    by_class: dict, classes, rng: np.random.Generator
-) -> tuple[int, int, int]:
-    """Indices for (anchor, positive, negative) under the label constraints."""
-    eligible = [c for c in classes if len(by_class.get(c, [])) >= 2]
-    if not eligible or len(classes) < 2:
-        raise ValueError("need one class with 2+ samples and a second class")
-    c = eligible[rng.integers(len(eligible))]
-    a_i, p_i = rng.choice(len(by_class[c]), size=2, replace=False)
-    others = [cc for cc in classes if cc != c and by_class.get(cc)]
-    n_c = others[rng.integers(len(others))]
-    n_i = rng.integers(len(by_class[n_c]))
-    return by_class[c][a_i], by_class[c][p_i], by_class[n_c][n_i]
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +554,6 @@ def _pairwise_step(
     net: EmbeddingNetwork,
     corpus: LabeledCorpus,
     by_class: dict,
-    classes: list,
     config: TrainConfig,
     sim_map: Optional[SimilarityMap],
     rng: np.random.Generator,
@@ -573,13 +562,12 @@ def _pairwise_step(
     b = config.pair_batch
     roles = 4 if config.loss == "quadruplet" else 3
     idx = np.empty((roles, b), dtype=np.int64)
+    eligible = [c for c in sorted(by_class) if len(by_class[c]) >= 2]
+    if not eligible:
+        raise ValueError("pairwise losses need a class with at least 2 train samples")
     for i in range(b):
-        if config.loss == "quadruplet":
-            eligible = [c for c in classes if len(by_class[c]) >= 2]
-            anchor_class = eligible[rng.integers(len(eligible))]
-            idx[:, i] = sample_quadruplet_indices(by_class, sim_map, anchor_class, rng)
-        else:
-            idx[:, i] = sample_triplet_indices(by_class, classes, rng)
+        anchor_class = eligible[rng.integers(len(eligible))]
+        idx[:, i] = _sample_roles(by_class, sim_map, anchor_class, rng, roles)
 
     flat = idx.reshape(-1)
     images = [corpus.records[j].image.pixels for j in flat]
@@ -612,6 +600,8 @@ def train(
     by_class = _class_index(train_corpus)
 
     if config.loss == "quadruplet" and sim_map is None:
+        if config.similarity_map == "computed":
+            raise ValueError("similarity_map 'computed' needs the mined map: pass sim_map")
         sim_map = load_fixture_map()
 
     rng = np.random.default_rng(config.seed)
@@ -634,9 +624,7 @@ def train(
                 )
                 loss, grads = pn_episode_loss(net, episode)
             if config.loss != "ce":
-                ploss, pgrads = _pairwise_step(
-                    net, train_corpus, by_class, train_classes, config, sim_map, rng
-                )
+                ploss, pgrads = _pairwise_step(net, train_corpus, by_class, config, sim_map, rng)
                 loss = loss + config.pair_weight * ploss
                 grads = grads + config.pair_weight * pgrads
             if not np.isfinite(loss):

@@ -27,25 +27,28 @@ def _unit_diff(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
+def _hinge(a: np.ndarray, x: np.ndarray, y: np.ndarray, margin: float):
+    """sum_i max(d(a,x) - d(a,y) + margin, 0) and its gradients for a, x and y."""
+    d_ax = _pair_distances(a, x)
+    d_ay = _pair_distances(a, y)
+    m = d_ax - d_ay + margin
+    act = (m > 0)[:, None].astype(np.float64)
+    u_ax = _unit_diff(a, x, d_ax)
+    u_ay = _unit_diff(a, y, d_ay)
+    return np.sum(np.maximum(m, 0.0)), act * (u_ax - u_ay), act * (-u_ax), act * u_ay
+
+
 def triplet_loss(parts: np.ndarray, alpha: float):
     """loss = sum_i max(d(a,p) - d(a,n) + alpha, 0)."""
     if alpha <= 0:
         raise ValueError("margin must be positive")
     a, p, n = parts
-    d_ap = _pair_distances(a, p)
-    d_an = _pair_distances(a, n)
-    margin = d_ap - d_an + alpha
-    active = margin > 0
-    loss = float(np.sum(margin[active]))
-
-    u_ap = _unit_diff(a, p, d_ap)
-    u_an = _unit_diff(a, n, d_an)
-    act = active[:, None].astype(np.float64)
-    return loss, act * np.stack([u_ap - u_an, -u_ap, u_an])
+    loss, *grads = _hinge(a, p, n, alpha)
+    return float(loss), np.stack(grads)
 
 
 def quadruplet_loss(parts: np.ndarray, alpha1: float, alpha2: float):
-    """Two hinge sums over (a,p,s) and (a,s,n):
+    """Two triplet hinges that share the anchor, over (a,p,s) and (a,s,n):
 
     loss = sum_i max(d(a,p) - d(a,s) + alpha1, 0)
          + sum_i max(d(a,s) - d(a,n) + alpha2, 0)
@@ -53,21 +56,9 @@ def quadruplet_loss(parts: np.ndarray, alpha1: float, alpha2: float):
     if alpha1 <= 0 or alpha2 <= 0:
         raise ValueError("margins must be positive")
     a, p, s, n = parts
-    d_ap = _pair_distances(a, p)
-    d_as = _pair_distances(a, s)
-    d_an = _pair_distances(a, n)
-    m1 = d_ap - d_as + alpha1
-    m2 = d_as - d_an + alpha2
-    act1 = (m1 > 0)[:, None].astype(np.float64)
-    act2 = (m2 > 0)[:, None].astype(np.float64)
-    loss = float(np.sum(np.maximum(m1, 0.0)) + np.sum(np.maximum(m2, 0.0)))
-
-    u_ap = _unit_diff(a, p, d_ap)
-    u_as = _unit_diff(a, s, d_as)
-    u_an = _unit_diff(a, n, d_an)
-    da = act1 * (u_ap - u_as) + act2 * (u_as - u_an)
-    ds = act1 * u_as - act2 * u_as
-    return loss, np.stack([da, act1 * (-u_ap), ds, act2 * u_an])
+    loss1, da1, dp, ds1 = _hinge(a, p, s, alpha1)
+    loss2, da2, ds2, dn = _hinge(a, s, n, alpha2)
+    return float(loss1 + loss2), np.stack([da1 + da2, dp, ds1 + ds2, dn])
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):

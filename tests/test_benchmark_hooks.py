@@ -6,13 +6,16 @@ perfbench/.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gnssfsl
 from gnssfsl import cli  # noqa: F401  (install() wraps the cli stages)
-from gnssfsl import nncore
+from gnssfsl import fsl, losses, nncore
+from gnssfsl.spectro import CorpusRecord, LabeledCorpus, SpectrogramImage
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -60,3 +63,26 @@ def test_infer_runs_through_forward_with_cache(monkeypatch):
         calls.clear()
         net.infer(images)
         assert len(calls) == 1 and calls[0] is images
+
+
+@pytest.mark.parametrize("kind", ["triplet", "quadruplet"])
+def test_one_public_loss_call_per_pair_step(monkeypatch, kind):
+    # The tracer counts every public losses function as losses.calls; a pair
+    # step that called one loss through another would count twice.
+    calls = []
+    for name, fn in inspect.getmembers(losses, inspect.isfunction):
+        if fn.__module__ == losses.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(
+                losses, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a)
+            )
+    rng = np.random.default_rng(0)
+    records = [
+        CorpusRecord(f"{c}_{i}.img", c, "train", i, image=SpectrogramImage(pix, c))
+        for c in range(3)
+        for i, pix in enumerate(rng.integers(0, 256, size=(3, 8, 8), dtype=np.uint8))
+    ]
+    net = nncore.init(nncore.ArchConfig(height=8, width=8, conv_channels=(2,), embed_dim=4), 0)
+    corpus = LabeledCorpus(records)
+    config = fsl.TrainConfig(loss=kind, pair_batch=5)
+    fsl._pairwise_step(net, corpus, fsl._class_index(corpus), config, None, rng)
+    assert calls == [f"{kind}_loss"]

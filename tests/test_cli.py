@@ -524,6 +524,44 @@ class TestStageErrors:
         assert err["error"] == "ValueError"
         assert "config" in err["message"]
 
+    def test_ensemble_entry_without_artifacts_exits_with_json_error(
+        self, pipeline_run, tmp_path, capsys
+    ):
+        # The manifest loader takes "artifacts" as optional: none means no members.
+        src, _, _ = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(src, run)
+        path = run / "run_manifest.json"
+        manifest = json.loads(path.read_text())
+        next(e for e in manifest["stages"] if e["stage"] == "ensemble").pop("artifacts")
+        path.write_text(json.dumps(manifest))
+        rc = cli.main(["mine", "--run", str(run)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "at least one member" in err["message"]
+
+    def test_ensemble_heads_must_match_base_classes(
+        self, pipeline_run, tmp_path, capsys, monkeypatch
+    ):
+        # 11-class networks in place of the 7-class members are refused
+        # before any member runs a forward pass.
+        src, _, _ = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(src, run)
+        for path in sorted((run / "checkpoints").glob("ensemble_*.gnssnet")):
+            member = nncore.load_checkpoint(path)
+            config = fsl.replace(member.config, num_classes=11)
+            nncore.save_checkpoint(nncore.init(config, seed=0), path)
+        forwards = []
+        monkeypatch.setattr(uncertainty, "predict_member", lambda *a: forwards.append(1))
+        rc = cli.main(["mine", "--run", str(run)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "11-class heads" in err["message"] and "7 base classes" in err["message"]
+        assert forwards == []
+
     def test_ensemble_without_members_rejected_before_training(
         self, tmp_path, capsys, monkeypatch
     ):

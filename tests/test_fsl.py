@@ -371,6 +371,17 @@ class TestQuadrupletSampling:
         with pytest.raises(ValueError):
             self._draw(corpus, None, 0, np.random.default_rng(0))
 
+    def test_triplet_roles_skip_the_similar_draws(self):
+        # Triplet training draws (a, p, n) through the same code, without the
+        # similar class, so two classes suffice.
+        corpus = toy_corpus({0: 4, 1: 3})
+        by_class = fsl._class_index(corpus)
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            a, p, n = (corpus.records[i] for i in fsl._sample_roles(by_class, None, 0, rng, 3))
+            assert a.label == p.label == 0 and a.file != p.file
+            assert n.label == 1
+
 
 class TestTrain:
     def test_zero_epochs_returns_initialized_net(self, tiny_corpus, quick_config):
@@ -411,6 +422,19 @@ class TestTrain:
         result = train(tiny_corpus, cfg)
         assert len(result.epoch_losses) == 1
 
+    def test_computed_map_must_be_passed(self, tiny_corpus, quick_config):
+        # The fixture stands in only for "paper_fixture"; a computed map is the caller's.
+        cfg = fsl.replace(quick_config, loss="quadruplet", similarity_map="computed")
+        with pytest.raises(ValueError, match="sim_map"):
+            train(tiny_corpus, cfg)
+
+    @pytest.mark.parametrize("kind", ["triplet", "quadruplet"])
+    def test_pairwise_loss_needs_a_two_sample_class(self, kind):
+        corpus = toy_corpus({c: 1 for c in range(11)})
+        cfg = TrainConfig(loss=kind, pretrain="ce", conv_channels=(2,), embed_dim=4)
+        with pytest.raises(ValueError, match="at least 2 train samples"):
+            train(corpus, cfg)
+
     def test_ce_pretrain_mode(self, tiny_corpus, quick_config):
         cfg = fsl.replace(quick_config, pretrain="ce", epochs=1, batch_size=16)
         result = train(tiny_corpus, cfg)
@@ -430,7 +454,6 @@ class TestPairwiseStepGradient:
     def test_matches_central_differences(self, kind, norm):
         corpus = toy_corpus({c: 4 for c in range(4)})
         by_class = fsl._class_index(corpus)
-        classes = sorted(by_class)
         cfg = TrainConfig(loss=kind, pairwise_norm=norm, alpha=1.0, pair_batch=3)
         net = init(SMALL, seed=9)
         # No ReLU or max-pool kink within finite-difference reach of any corpus image.
@@ -440,7 +463,7 @@ class TestPairwiseStepGradient:
         def step():
             # The same batch every call: the rng is re-seeded.
             rng = np.random.default_rng(4)
-            return fsl._pairwise_step(net, corpus, by_class, classes, cfg, None, rng)
+            return fsl._pairwise_step(net, corpus, by_class, cfg, None, rng)
 
         _, analytic = step()
         p0 = net.params.copy()

@@ -98,6 +98,21 @@ class TestQuadruplet:
         with pytest.raises(ValueError):
             quadruplet_loss(_embed_at_distances(1.0, 1.0), 2.0, 5.0)
 
+    @pytest.mark.parametrize("b", [6, 8, 400])
+    def test_active_hinges_give_the_triplet_gradient(self, b):
+        # Margins (2, 5) exceed the softmax simplex's diameter sqrt(2), so both
+        # hinges are active: the similar row's two gradients cancel exactly and
+        # the rest is the triplet gradient of (a, p, n) at margin 2 + 5.
+        rng = np.random.default_rng(b)
+        e = np.exp(rng.normal(size=(4, b, 16)))
+        a, p, s, n = e / e.sum(axis=2, keepdims=True)
+        _, quad = quadruplet_loss(np.stack([a, p, s, n]), 2.0, 5.0)
+        _, trip = triplet_loss(np.stack([a, p, n]), 7.0)
+        assert not quad[2].any()
+        np.testing.assert_array_equal(quad[1], trip[1])
+        np.testing.assert_array_equal(quad[3], trip[2])
+        np.testing.assert_allclose(quad[0], trip[0], rtol=0, atol=2.3e-16)
+
     def test_gradient_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
