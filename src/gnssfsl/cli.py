@@ -214,7 +214,10 @@ def generate_corpus(
             raise ValueError(f"{name} must be >= 1, got {value}")
     prof = PROFILES[profile]
     image_size = image_size if image_size is not None else prof["image_size"]
-    counts = counts or class_counts(profile, total)
+    if counts is None:
+        counts = class_counts(profile, total)
+    elif not counts:
+        raise ValueError("counts must name at least one class, got none")
     bad = [c for c, n in counts.items() if n < MIN_CLASS_COUNT]
     if bad:
         raise StageError(
@@ -423,7 +426,7 @@ def cmd_gen_data(args) -> None:
         seed=args.seed,
         total=args.total,
         image_size=args.image_size,
-        counts=_parse_counts(args.counts) if args.counts else None,
+        counts=_parse_counts(args.counts) if args.counts is not None else None,
     )
     _append_stage(
         run_dir, "gen-data", t0, {"corpus": "corpus/manifest.json"},
@@ -739,7 +742,8 @@ def main(argv=None) -> int:
         payload = {"error": "stage_error", "message": str(exc), **exc.details}
         print(json.dumps(payload), file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
+        # RecursionError: JSON input nested past the recursion limit.
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ import functools
 import json
 import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -122,8 +122,10 @@ def sgd_step(
 
 
 # ---------------------------------------------------------------------------
-# Layers. Each layer owns a slice of the flat parameter vector and implements
-# forward(x, p) -> (y, cache) and backward(dy, p, cache) -> (dx, dp).
+# Layers. Each layer owns a slice of the flat parameter vector: n_params
+# values, the first n_weights of them weights with fan_in inputs each, the
+# rest biases. It implements forward(x, p) -> (y, cache) and
+# backward(dy, p, cache) -> (dx, dp).
 # ---------------------------------------------------------------------------
 
 
@@ -143,19 +145,10 @@ class _ConvRelu:
     def __init__(self, in_ch: int, out_ch: int, input_grad: bool = True):
         self.in_ch = in_ch
         self.out_ch = out_ch
-        self.n_weights = out_ch * in_ch * 9
+        self.fan_in = in_ch * 9
+        self.n_weights = out_ch * self.fan_in
         self.n_params = self.n_weights + out_ch
         self.input_grad = input_grad
-
-    def init_params(self, rng: np.random.Generator, dtype) -> np.ndarray:
-        bound = np.sqrt(6.0 / (self.in_ch * 9))
-        w = rng.uniform(-bound, bound, size=self.n_weights)
-        return np.concatenate([w, np.zeros(self.out_ch)]).astype(dtype)
-
-    def decay_mask(self) -> np.ndarray:
-        m = np.zeros(self.n_params, dtype=bool)
-        m[: self.n_weights] = True
-        return m
 
     def _tap_weights(self, p):
         """(3, 3, O, C): one C-contiguous (O, C) weight matrix per tap."""
@@ -232,13 +225,7 @@ class _MaxPool2:
     order, as argmax would send it.
     """
 
-    n_params = 0
-
-    def init_params(self, rng, dtype):
-        return np.zeros(0, dtype=dtype)
-
-    def decay_mask(self):
-        return np.zeros(0, dtype=bool)
+    fan_in = n_weights = n_params = 0
 
     @staticmethod
     def _taps(x):
@@ -274,13 +261,7 @@ class _MaxPool2:
 
 
 class _GlobalAvgPool:
-    n_params = 0
-
-    def init_params(self, rng, dtype):
-        return np.zeros(0, dtype=dtype)
-
-    def decay_mask(self):
-        return np.zeros(0, dtype=bool)
+    fan_in = n_weights = n_params = 0
 
     def forward(self, x, p):
         return x.mean(axis=(2, 3)), x.shape
@@ -295,18 +276,9 @@ class _Dense:
     def __init__(self, in_features: int, out_features: int):
         self.in_features = in_features
         self.out_features = out_features
+        self.fan_in = in_features
         self.n_weights = out_features * in_features
         self.n_params = self.n_weights + out_features
-
-    def init_params(self, rng, dtype):
-        bound = np.sqrt(6.0 / self.in_features)
-        w = rng.uniform(-bound, bound, size=self.n_weights)
-        return np.concatenate([w, np.zeros(self.out_features)]).astype(dtype)
-
-    def decay_mask(self):
-        m = np.zeros(self.n_params, dtype=bool)
-        m[: self.n_weights] = True
-        return m
 
     def forward(self, x, p):
         w = p[: self.n_weights].reshape(self.out_features, self.in_features)
@@ -348,38 +320,36 @@ def _freq_ramp(height: int, dtype) -> np.ndarray:
 
 
 class EmbeddingNetwork:
-    """Feature extractor f(X) with flat parameters and exact gradients."""
+    """Feature extractor f(X) with flat parameters and exact gradients.
 
-    def __init__(self, config: ArchConfig, seed: int):
+    `params` is the flat parameter vector in `config`'s dtype, as `init`
+    draws it or `load_checkpoint` reads it; `seed` is the seed it was drawn
+    from, kept for the checkpoint header.
+    """
+
+    def __init__(self, config: ArchConfig, seed: int, params: np.ndarray):
         self.config = config
         self.seed = seed
-        layers = _build_layers(config)
+        self._layers = _build_layers(config)
         self._embed_index = 2 * len(config.conv_channels) + 1
         self._head_index = None if config.num_classes is None else self._embed_index + 1
-        self._layers = layers
-        self._offsets = np.cumsum([0] + [l.n_params for l in layers])
+        self._offsets = np.cumsum([0] + [l.n_params for l in self._layers])
         self.n_params = int(self._offsets[-1])
-        rng = np.random.default_rng(seed)
-        self.params = np.concatenate(
-            [layer.init_params(rng, config.np_dtype) for layer in layers]
-        )
-        if self.params.dtype != config.np_dtype:
-            self.params = self.params.astype(config.np_dtype)
+        self.params = params
 
     def _param_slice(self, i: int) -> slice:
         return slice(int(self._offsets[i]), int(self._offsets[i + 1]))
 
     def decay_mask(self) -> np.ndarray:
-        return np.concatenate([l.decay_mask() for l in self._layers])
+        """True on every weight, False on every bias."""
+        return np.concatenate([np.arange(l.n_params) < l.n_weights for l in self._layers])
 
     # -- forward / backward -------------------------------------------------
 
     def _stack(self, batch) -> np.ndarray:
         """The batch as one (B, H, W) array of the network's input size."""
         if isinstance(batch, (list, tuple)):
-            batch = np.stack(
-                [b.pixels if hasattr(b, "pixels") else np.asarray(b) for b in batch]
-            )
+            batch = np.stack(batch)
         x = np.asarray(batch)
         if x.ndim == 2:
             x = x[None]
@@ -391,9 +361,6 @@ class EmbeddingNetwork:
                 f"{self.config.height}x{self.config.width}"
             )
         return x
-
-    def _prepare_batch(self, batch) -> np.ndarray:
-        return self._planes(self._stack(batch))
 
     def _planes(self, x: np.ndarray) -> np.ndarray:
         """A fresh (B, 2, H, W) network input for a checked (B, H, W) stack:
@@ -469,11 +436,19 @@ class EmbeddingNetwork:
 
 
 def init(config: ArchConfig, seed: int) -> EmbeddingNetwork:
-    """He-uniform weights, zero biases; same seed gives bit-identical params."""
-    return EmbeddingNetwork(config, seed)
+    """He-uniform weights in ±√(6/fan_in), zero biases, drawn layer by layer
+    from one generator; same seed gives bit-identical params."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for layer in _build_layers(config):
+        if layer.n_weights:  # the pooling layers have no parameters
+            bound = np.sqrt(6.0 / layer.fan_in)
+            parts.append(rng.uniform(-bound, bound, size=layer.n_weights))
+            parts.append(np.zeros(layer.n_params - layer.n_weights))
+    return EmbeddingNetwork(config, seed, np.concatenate(parts).astype(config.np_dtype))
 
 
-_HEADER_FIELDS = {"height", "width", "conv_channels", "embed_dim", "num_classes", "dtype"}
+_HEADER_FIELDS = {f.name for f in fields(ArchConfig)}
 
 
 def _wire_dtype(config: ArchConfig) -> np.dtype:
@@ -483,15 +458,7 @@ def _wire_dtype(config: ArchConfig) -> np.dtype:
 def save_checkpoint(net: EmbeddingNetwork, path: str | Path) -> None:
     """Write magic, u32-LE header length, JSON header, then the parameters
     little-endian in the header's dtype."""
-    header = {
-        "height": net.config.height,
-        "width": net.config.width,
-        "conv_channels": list(net.config.conv_channels),
-        "embed_dim": net.config.embed_dim,
-        "num_classes": net.config.num_classes,
-        "dtype": net.config.dtype,
-        "seed": net.seed,
-    }
+    header = {**asdict(net.config), "seed": net.seed}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = net.params.astype(_wire_dtype(net.config)).tobytes()
     Path(path).write_bytes(
@@ -512,7 +479,10 @@ def load_checkpoint(path: str | Path) -> EmbeddingNetwork:
     (hlen,) = struct.unpack("<I", data[len(CHECKPOINT_MAGIC) : preamble])
     if len(data) < preamble + hlen:
         raise ValueError(f"checkpoint header declares {hlen} bytes, file is truncated")
-    header = json.loads(data[preamble : preamble + hlen].decode("utf-8"))
+    try:
+        header = json.loads(data[preamble : preamble + hlen].decode("utf-8"))
+    except RecursionError:
+        raise ValueError("checkpoint header nests deeper than the recursion limit") from None
     if not isinstance(header, dict):
         raise ValueError(f"checkpoint header must be a JSON object, got {type(header).__name__}")
     missing = sorted(_HEADER_FIELDS - set(header))
@@ -523,14 +493,9 @@ def load_checkpoint(path: str | Path) -> EmbeddingNetwork:
     seed = header.get("seed", 0)
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
-    config = ArchConfig(
-        height=header["height"],
-        width=header["width"],
-        conv_channels=tuple(header["conv_channels"]),
-        embed_dim=header["embed_dim"],
-        num_classes=header["num_classes"],
-        dtype=header["dtype"],
-    )
+    arch = {name: header[name] for name in _HEADER_FIELDS}
+    arch["conv_channels"] = tuple(arch["conv_channels"])
+    config = ArchConfig(**arch)
     # Check the payload against the header's parameter count before anything
     # is allocated: a forged header can declare any architecture size.
     n_params = sum(layer.n_params for layer in _build_layers(config))
@@ -541,6 +506,5 @@ def load_checkpoint(path: str | Path) -> EmbeddingNetwork:
             f"checkpoint payload is {len(payload)} bytes, architecture needs "
             f"{n_params} {config.dtype} parameters ({n_params * wire.itemsize} bytes)"
         )
-    net = EmbeddingNetwork(config, seed)
-    net.params = np.frombuffer(payload, dtype=wire).astype(config.np_dtype)
-    return net
+    params = np.frombuffer(payload, dtype=wire).astype(config.np_dtype)
+    return EmbeddingNetwork(config, seed, params)

@@ -250,7 +250,7 @@ def composed_net_instance(rng):
 
 def _net_kink_margin(net, x) -> float:
     """Smallest |pre-activation| and pool-window gap across the net."""
-    xb = net._prepare_batch(x)
+    xb = net._planes(net._stack(x))
     margin = np.inf
     for i, layer in enumerate(net._layers):
         p = net.params[net._param_slice(i)]

@@ -184,6 +184,17 @@ class TestGenData:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "stage_error"
 
+    def test_empty_counts_rejected(self, tmp_path, capsys):
+        # An empty object used to fall back to the profile's counts.
+        rc = cli.main(["gen-data", "--out", str(tmp_path), "--total", "100", "--counts", "{}"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "counts" in err["message"]
+        assert not (tmp_path / "corpus").exists()
+        with pytest.raises(ValueError, match="counts"):
+            cli.generate_corpus(tmp_path, counts={})
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--image-size", "0"), ("--image-size", "-3"), ("--total", "0"), ("--total", "-50")],
@@ -491,6 +502,45 @@ class TestStageErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "manifest.json" in err["message"]
+
+    @pytest.mark.parametrize(
+        "where",
+        ["config", "similarity-map", "corpus-manifest", "run-manifest", "checkpoint", "counts"],
+    )
+    def test_deeply_nested_json_exits_with_json_error(self, tmp_path, capsys, where):
+        # json.loads raises RecursionError past about 1,000 levels of nesting.
+        deep = "[" * 100_000 + "]" * 100_000
+        run = str(tmp_path)
+        argv = ["train", "--run", run, "--config", str(quick_config_file(tmp_path))]
+        if where == "config":
+            (tmp_path / "deep.json").write_text(deep)
+            argv[-1] = str(tmp_path / "deep.json")
+        elif where == "similarity-map":
+            (tmp_path / "similarity_map.json").write_text(deep)
+            cfg = quick_config_file(tmp_path, loss="quadruplet", similarity_map="computed")
+            argv[-1] = str(cfg)
+        elif where == "corpus-manifest":
+            (tmp_path / "corpus").mkdir()
+            (tmp_path / "corpus" / "manifest.json").write_text(deep)
+        elif where == "run-manifest":
+            (tmp_path / "run_manifest.json").write_text(deep)
+            argv[0] = "eval"  # its config check reads the run manifest first
+        elif where == "checkpoint":
+            assert cli.main(["gen-data", "--out", run, "--counts", TINY_COUNTS]) == 0
+            (tmp_path / "checkpoints").mkdir()
+            blob = deep.encode()
+            (tmp_path / "checkpoints" / "ce.gnssnet").write_bytes(
+                nncore.CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob
+            )
+            argv[0] = "eval"
+        else:  # argv's limit on one argument's length keeps --counts shallower
+            argv = ["gen-data", "--out", run, "--counts", "[" * 2000 + "]" * 2000]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        # load_checkpoint raises ValueError for any malformed file.
+        assert err["error"] == ("ValueError" if where == "checkpoint" else "RecursionError")
+        assert "recursion" in err["message"]
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"3": 5}'], ids=["array", "list"])
     def test_malformed_similarity_map_exits_with_json_error(self, tmp_path, capsys, text):

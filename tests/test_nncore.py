@@ -42,6 +42,31 @@ class TestInit:
     def test_different_seeds_differ(self):
         assert not np.array_equal(init(SMALL, 1).params, init(SMALL, 2).params)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [BENCH, ODD_HEAD, replace(SMALL, num_classes=3)],
+        ids=["bench", "odd_head", "f64_head"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1])
+    def test_matches_reference_init(self, cfg, seed):
+        # One generator draws each weighted layer's He-uniform weights, then
+        # its zero biases, in layer order: conv blocks, embedding, head.
+        fan_ins = [2 * 9] + [9 * c for c in cfg.conv_channels[:-1]] + [cfg.conv_channels[-1]]
+        outs = list(cfg.conv_channels) + [cfg.embed_dim]
+        if cfg.num_classes is not None:
+            fan_ins.append(cfg.embed_dim)
+            outs.append(cfg.num_classes)
+        rng = np.random.default_rng(seed)
+        params, mask = [], []
+        for fan_in, out in zip(fan_ins, outs):
+            bound = np.sqrt(6.0 / fan_in)
+            params += [rng.uniform(-bound, bound, size=out * fan_in), np.zeros(out)]
+            mask += [np.ones(out * fan_in, dtype=bool), np.zeros(out, dtype=bool)]
+        net = init(cfg, seed)
+        assert net.params.dtype == cfg.np_dtype
+        assert np.array_equal(net.params, np.concatenate(params).astype(cfg.np_dtype))
+        assert np.array_equal(net.decay_mask(), np.concatenate(mask))
+
     def test_biases_zero_weights_not(self):
         net = init(SMALL, seed=4)
         mask = net.decay_mask()
@@ -132,10 +157,10 @@ class TestForward:
         np_dtype = net.config.np_dtype
         imgs = np.random.default_rng(4).integers(0, 256, size=(3, 9, 8), dtype=np.uint8)
         ramp = np.broadcast_to(np.linspace(-0.5, 0.5, 9, dtype=np_dtype)[:, None], (3, 9, 8))
-        x = net._prepare_batch(list(imgs))
+        x = net._planes(net._stack(list(imgs)))
         x[:, 1] = 0.0
         for batch in (imgs, imgs.astype(np.float64) / 255.0):
-            x = net._prepare_batch(batch)
+            x = net._planes(net._stack(batch))
             assert x.dtype == np_dtype and x.shape == (3, 2, 9, 8)
             if batch.dtype == np.uint8:
                 image_plane = batch.astype(np_dtype) / np.array(255.0, np_dtype)
@@ -215,7 +240,8 @@ class TestBitExact:
     @pytest.mark.parametrize("batch", EXACT_BATCHES)
     def test_layers_match_reference(self, dtype, batch):
         net, rng = _perturbed(replace(BENCH, dtype=dtype), batch)
-        x = net._prepare_batch(rng.integers(0, 256, size=(batch, 32, 32)).astype(np.uint8))
+        images = rng.integers(0, 256, size=(batch, 32, 32)).astype(np.uint8)
+        x = net._planes(net._stack(images))
         for i, layer in enumerate(net._layers[: net._embed_index]):
             p = net.params[net._param_slice(i)]
             if isinstance(layer, _ConvRelu):
@@ -344,7 +370,7 @@ class TestFirstLayer:
         net = init(SMALL, seed=30)
         convs = [layer for layer in net._layers if isinstance(layer, _ConvRelu)]
         assert [c.input_grad for c in convs] == [False, True]
-        x = net._prepare_batch(np.zeros((2, 8, 8), dtype=np.uint8))
+        x = net._planes(net._stack(np.zeros((2, 8, 8), dtype=np.uint8)))
         _, cache = convs[0].forward(x, net.params[net._param_slice(0)])
         dx, dp = convs[0].backward(np.ones((2, 2, 8, 8)), net.params[net._param_slice(0)], cache)
         assert dx is None
@@ -416,6 +442,7 @@ _SMALL_HEADER = {
     "seed": 23,
 }
 _SMALL_PARAMS = init(SMALL, seed=0).n_params
+DEEP_JSON = b"[" * 100000 + b"]" * 100000  # past the recursion limit of json.loads
 
 
 def _read_checkpoint(path):
@@ -468,8 +495,9 @@ class TestCheckpoint:
             lambda data, hlen: data + b"\x00" * 8,  # trailing bytes
             lambda data, hlen: data[:8] + (2).to_bytes(4, "little") + b"{}",  # no fields
             lambda data, hlen: data[:8] + (2).to_bytes(4, "little") + b"[]",  # not an object
+            lambda data, hlen: data[:8] + (200000).to_bytes(4, "little") + DEEP_JSON,
         ],
-        ids=["preamble", "header", "payload", "trailing", "fields", "object"],
+        ids=["preamble", "header", "payload", "trailing", "fields", "object", "deep"],
     )
     def test_malformed_file_raises_value_error(self, tmp_path, cut):
         path = tmp_path / "net.gnssnet"
@@ -479,6 +507,19 @@ class TestCheckpoint:
         path.write_bytes(cut(data, hlen))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        net = init(ODD_HEAD, seed=26)
+        path = tmp_path / "net.gnssnet"
+        save_checkpoint(net, path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        back = load_checkpoint(path)
+        assert back.seed == 26
+        assert np.array_equal(back.params, net.params)
 
     def test_oversized_header_rejected_before_allocation(self, tmp_path):
         path = tmp_path / "net.gnssnet"
