@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fsl, metrics, nncore, siggen, spectro, uncertainty
+from . import fsl, jsondoc, metrics, nncore, siggen, spectro, uncertainty
 from .fsl import SimilarityMap, TrainConfig
 
 # Field-study class frequencies used to shape synthetic corpora.
@@ -225,9 +225,12 @@ def generate_corpus(
             classes=sorted(bad),
         )
 
+    n = sum(counts.values())
+    if n * image_size**2 > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ValueError(f"{n} images of {image_size}x{image_size} pixels do not fit in memory")
+    block = np.empty((n, image_size, image_size), dtype=np.uint8)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    block = np.empty((sum(counts.values()), image_size, image_size), dtype=np.uint8)
     records = []
     record_index = 0
     for label in sorted(counts):
@@ -297,8 +300,8 @@ def _load_manifest(run_dir: Path) -> dict:
     path = _manifest_path(run_dir)
     if not path.exists():
         return {"stages": []}
-    manifest = json.loads(path.read_text())
-    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    manifest = jsondoc.parse(path.read_text(), f"{path}: run manifest")
+    stages = manifest.get("stages")
     if not isinstance(stages, list):
         raise ValueError(f"{path}: run manifest must be an object with a 'stages' list")
     for i, entry in enumerate(stages):
@@ -387,6 +390,16 @@ def _load_config(args) -> TrainConfig:
     return TrainConfig()
 
 
+def _named_config(args) -> tuple[Path, TrainConfig, str]:
+    """(run directory, config, checkpoint name); the name defaults to the loss
+    kind and names files in the run, so it must be one plain path component."""
+    config = _load_config(args)
+    name = args.name or config.loss
+    if name in (".", "..") or "/" in name or "\\" in name:
+        raise ValueError(f"--name must be one plain path component, got {name!r}")
+    return Path(args.run), config, name
+
+
 def _check_identity(run_dir: Path, checkpoint_name: str, config: TrainConfig, force: bool):
     checkpoint = f"checkpoints/{checkpoint_name}.gnssnet"
     for entry in reversed(_load_manifest(run_dir)["stages"]):
@@ -409,10 +422,8 @@ def _check_identity(run_dir: Path, checkpoint_name: str, config: TrainConfig, fo
 
 def _parse_counts(text: str) -> dict:
     """`--counts` JSON: an object mapping class ids (integer strings) to int counts."""
-    counts = json.loads(text)
-    if not isinstance(counts, dict) or not all(
-        k.isascii() and k.isdecimal() and type(v) is int for k, v in counts.items()
-    ):
+    counts = jsondoc.parse(text, "--counts")
+    if not all(k.isascii() and k.isdecimal() and type(v) is int for k, v in counts.items()):
         raise ValueError(f"--counts must map class ids to integer counts, got {text}")
     return {int(k): v for k, v in counts.items()}
 
@@ -439,9 +450,7 @@ def cmd_gen_data(args) -> None:
 
 def cmd_train(args) -> None:
     t0 = time.perf_counter()
-    run_dir = Path(args.run)
-    config = _load_config(args)
-    name = args.name or config.loss
+    run_dir, config, name = _named_config(args)
     sim_map = None  # fsl.train's default for quadruplet: the built-in fixture
     if config.loss == "quadruplet" and config.similarity_map == "computed":
         # Read before the corpus loads, so a missing mined map fails before any training.
@@ -468,7 +477,7 @@ def cmd_train(args) -> None:
         {"checkpoint": f"checkpoints/{name}.gnssnet", "log": f"reports/train_{name}.csv"},
         identity=config,
         master_seed=config.seed,
-        config=json.loads(config.to_json()),
+        config=config.to_dict(),
     )
     print(f"checkpoint written to {ckpt}")
 
@@ -492,7 +501,7 @@ def cmd_ensemble(args) -> None:
         identity=config,
         master_seed=config.seed,
         members=args.members,
-        config=json.loads(config.to_json()),
+        config=config.to_dict(),
     )
     print(f"{args.members} ensemble members written to {ckpt_dir}")
 
@@ -506,7 +515,7 @@ def _load_ensemble(
     if entry is None:
         raise StageError("missing upstream artifact: ensemble checkpoints (run ensemble first)",
                          file=str(run_dir / "checkpoints"))
-    config = TrainConfig.from_json(json.dumps(entry.get("config")))
+    config = TrainConfig.from_dict(jsondoc.expect(entry.get("config"), "ensemble config"))
     train_classes = sorted(set(corpus.classes()) - set(config.adaptation_classes))
     artifacts = entry.get("artifacts", {})
     members = []
@@ -599,13 +608,9 @@ def adaptation_report(net, corpus: spectro.LabeledCorpus, adaptation_classes, k:
 
 
 def _open_checkpoint(args):
-    """Inputs of a stage that reads a trained checkpoint: (run directory,
-    config, checkpoint name, corpus, network). The name defaults to the
-    config's loss kind, as in `train`; the corpus is checked before the
-    checkpoint."""
-    run_dir = Path(args.run)
-    config = _load_config(args)
-    name = args.name or config.loss
+    """(run directory, config, checkpoint name, corpus, network) for a stage that
+    reads a trained checkpoint; the corpus is checked before the checkpoint."""
+    run_dir, config, name = _named_config(args)
     _check_identity(run_dir, name, config, args.force)
     corpus = _load_run_corpus(run_dir)
     ckpt = _require(run_dir / "checkpoints" / f"{name}.gnssnet", f"checkpoint {name!r}")
@@ -742,8 +747,7 @@ def main(argv=None) -> int:
         payload = {"error": "stage_error", "message": str(exc), **exc.details}
         print(json.dumps(payload), file=sys.stderr)
         return 1
-    except (ValueError, OSError, RecursionError) as exc:
-        # RecursionError: JSON input nested past the recursion limit.
+    except (ValueError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import losses as losses_mod
+from . import jsondoc, losses as losses_mod
 from .nncore import (
     ArchConfig,
     EmbeddingNetwork,
@@ -85,10 +85,7 @@ def split_corpus(corpus: LabeledCorpus, fractions=DEFAULT_SPLIT_FRACTIONS, seed:
     if len(fractions) != 3:
         raise ValueError("expected (train, val, test) fractions")
     rng = np.random.default_rng(seed)
-    by_class: dict[int, list[int]] = {}
-    for i, rec in enumerate(corpus.records):
-        by_class.setdefault(rec.label, []).append(i)
-
+    by_class = _class_index(corpus)
     assignment = [""] * len(corpus.records)
     for label in sorted(by_class):
         idx = np.array(by_class[label])
@@ -276,8 +273,8 @@ class SimilarityMap:
 
     @classmethod
     def from_json(cls, text: str) -> "SimilarityMap":
-        raw = json.loads(text)
-        if not isinstance(raw, dict) or not all(
+        raw = jsondoc.parse(text, "similarity map")
+        if not all(
             c.isascii() and c.isdecimal() and isinstance(v, list) and all(map(_is_int, v))
             for c, v in raw.items()
         ):
@@ -293,10 +290,8 @@ class SimilarityMap:
 
 def load_fixture_map() -> SimilarityMap:
     """Built-in similar-class map for the standard 11-class layout."""
-    text = (
-        resources.files("gnssfsl.data").joinpath("similar_classes_fixture.json").read_text()
-    )
-    return SimilarityMap.from_json(text)
+    fixture = resources.files("gnssfsl.data") / "similar_classes_fixture.json"
+    return SimilarityMap.from_json(fixture.read_text())
 
 
 def build_similarity_map(
@@ -488,25 +483,27 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name!r} must be >= 1, got {getattr(self, name)}")
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The config's JSON object, keys sorted, the pair weight named "lambda"."""
         d = self.__dict__.copy()
         d["lambda"] = d.pop("pair_weight")
-        d["adaptation_classes"] = list(self.adaptation_classes)
-        d["conv_channels"] = list(self.conv_channels)
-        return json.dumps(d, indent=1, sort_keys=True)
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in sorted(d.items())}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
-        d = json.loads(text)
-        if not isinstance(d, dict):
-            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
-        # JSON names the pair weight "lambda" only, as to_json writes it.
+        return cls.from_dict(jsondoc.parse(text, "config"))
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
+        """The config of a JSON object as to_dict writes it ("lambda", not "pair_weight")."""
         known = (set(cls.__dataclass_fields__) - {"pair_weight"}) | {"lambda"}
         extra = set(d) - known
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        if "lambda" in d:
-            d["pair_weight"] = d.pop("lambda")
+        d = {"pair_weight" if k == "lambda" else k: v for k, v in d.items()}
         for key in ("adaptation_classes", "conv_channels"):
             if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])

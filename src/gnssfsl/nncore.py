@@ -20,6 +20,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import jsondoc
+
 CHECKPOINT_MAGIC = b"GNSSNET1"
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -479,12 +481,7 @@ def load_checkpoint(path: str | Path) -> EmbeddingNetwork:
     (hlen,) = struct.unpack("<I", data[len(CHECKPOINT_MAGIC) : preamble])
     if len(data) < preamble + hlen:
         raise ValueError(f"checkpoint header declares {hlen} bytes, file is truncated")
-    try:
-        header = json.loads(data[preamble : preamble + hlen].decode("utf-8"))
-    except RecursionError:
-        raise ValueError("checkpoint header nests deeper than the recursion limit") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"checkpoint header must be a JSON object, got {type(header).__name__}")
+    header = jsondoc.parse(data[preamble : preamble + hlen].decode("utf-8"), "checkpoint header")
     missing = sorted(_HEADER_FIELDS - set(header))
     if missing:
         raise ValueError(f"checkpoint header lacks {missing}")

@@ -200,31 +200,16 @@ def gen_jammer(
         period = spec.pulse_period_ms / 1000.0
         gate = (np.mod(t, period) < spec.duty_cycle * period).astype(np.float64)
         x = carrier * gate
-    elif spec.kind is JammerKind.CHIRP:
-        x = np.exp(
-            1j
-            * _chirp_phase(
-                n, sample_rate_hz, spec.chirp_f0_hz, spec.chirp_f1_hz, spec.chirp_period_ms
-            )
+    elif spec.kind in (JammerKind.CHIRP, JammerKind.TWO_CHIRPS):
+        phase = _chirp_phase(
+            n, sample_rate_hz, spec.chirp_f0_hz, spec.chirp_f1_hz, spec.chirp_period_ms
         )
-    elif spec.kind is JammerKind.TWO_CHIRPS:
-        a = np.exp(
-            1j
-            * _chirp_phase(
-                n, sample_rate_hz, spec.chirp_f0_hz, spec.chirp_f1_hz, spec.chirp_period_ms
+        x = np.exp(1j * phase)
+        if spec.kind is JammerKind.TWO_CHIRPS:
+            phase = _chirp_phase(
+                n, sample_rate_hz, spec.chirp2_f0_hz, spec.chirp2_f1_hz, spec.chirp2_period_ms
             )
-        )
-        b = np.exp(
-            1j
-            * _chirp_phase(
-                n,
-                sample_rate_hz,
-                spec.chirp2_f0_hz,
-                spec.chirp2_f1_hz,
-                spec.chirp2_period_ms,
-            )
-        )
-        x = a + b
+            x = x + np.exp(1j * phase)
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown jammer kind {spec.kind}")
 

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import jsondoc
 from .siggen import IQSnapshot
 
 DB_FLOOR = -90.0
@@ -244,9 +245,7 @@ def load_corpus(manifest_path: str | Path, load_images: bool = True) -> LabeledC
     """Validate every manifest entry, then read the image block next to the
     manifest in one call; record i holds a read-only view of row i."""
     manifest_path = Path(manifest_path)
-    entries = json.loads(manifest_path.read_text())
-    if not isinstance(entries, list):
-        raise ValueError(f"{manifest_path}: corpus manifest must be a JSON list")
+    entries = jsondoc.parse(manifest_path.read_text(), f"{manifest_path}: corpus manifest", list)
     records = []
     for i, e in enumerate(entries):
         if not (
@@ -261,14 +260,9 @@ def load_corpus(manifest_path: str | Path, load_images: bool = True) -> LabeledC
                 f"{manifest_path}: entry {i} must be an object with str 'file', int "
                 "'label', str 'split', int 'seed' and an optional 'jammer_params' object"
             )
-        rec = CorpusRecord(
-            file=e["file"],
-            label=e["label"],
-            split=e["split"],
-            seed=e["seed"],
-            jammer_params=e.get("jammer_params", {}),
+        records.append(
+            CorpusRecord(e["file"], e["label"], e["split"], e["seed"], e.get("jammer_params", {}))
         )
-        records.append(rec)
     if load_images:
         block_path = manifest_path.parent / BLOCK_FILE
         block = read_image(block_path)

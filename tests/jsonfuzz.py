@@ -1,6 +1,9 @@
-"""Hypothesis strategy for arbitrary JSON documents, shared by the fuzz tests."""
+"""JSON documents shared by the tests: a Hypothesis strategy for arbitrary
+values, and one nested past the recursion limit of json.loads."""
 
 from hypothesis import strategies as st
+
+DEEP_JSON = b"[" * 100000 + b"]" * 100000
 
 
 def json_values(*strings):

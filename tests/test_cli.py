@@ -207,6 +207,20 @@ class TestGenData:
         assert flag[2:].replace("-", "_") in err["message"]
         assert not (tmp_path / "corpus").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--counts", '{"0": 100000000000}'), ("--total", "1000000000000"),
+         ("--image-size", "1000000")],
+    )
+    def test_corpus_larger_than_memory_rejected(self, tmp_path, capsys, flag, value):
+        # Refused before numpy is asked for the image block.
+        rc = cli.main(["gen-data", "--out", str(tmp_path), flag, value])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "do not fit in memory" in err["message"]
+        assert not (tmp_path / "corpus").exists()
+
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
@@ -538,8 +552,7 @@ class TestStageErrors:
         capsys.readouterr()
         assert cli.main(argv) == 1
         err = json.loads(capsys.readouterr().err)
-        # load_checkpoint raises ValueError for any malformed file.
-        assert err["error"] == ("ValueError" if where == "checkpoint" else "RecursionError")
+        assert err["error"] == "ValueError"
         assert "recursion" in err["message"]
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"3": 5}'], ids=["array", "list"])
@@ -701,6 +714,25 @@ class TestStageErrors:
         if command == "eval":
             metrics = (run / "reports" / "metrics_quadruplet.csv").read_bytes()
             assert metrics == before["metrics_quadruplet.csv"]
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("train", "../../escaped"), ("train", "a\\b"), ("adapt", ".."), ("eval", "."),
+         ("embed", "ckpt/x")],
+    )
+    def test_name_outside_run_rejected_before_writing(self, tmp_path, capsys, command, name):
+        # The name becomes checkpoints/<name>.gnssnet and reports/*_<name>.csv.
+        run = tmp_path / "run"
+        assert cli.main(["gen-data", "--out", str(run), "--counts", TINY_COUNTS]) == 0
+        cfg = quick_config_file(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        rc = cli.main([command, "--run", str(run), "--config", str(cfg), "--name", name])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "--name" in err["message"]
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
         "doc", [[], {"stages": 5}, {"stages": [{"x": 1}]}], ids=["array", "stages", "entry"]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradcheck
-from jsonfuzz import json_values
+from jsonfuzz import DEEP_JSON, json_values
 from gnssfsl import nncore
 from gnssfsl.nncore import (
     ArchConfig,
@@ -442,7 +442,6 @@ _SMALL_HEADER = {
     "seed": 23,
 }
 _SMALL_PARAMS = init(SMALL, seed=0).n_params
-DEEP_JSON = b"[" * 100000 + b"]" * 100000  # past the recursion limit of json.loads
 
 
 def _read_checkpoint(path):
