@@ -193,7 +193,7 @@ def synthesize_record(
         }
 
     db = spectro.stft_magnitude(snapshot, window, hop)
-    img = spectro.quantize(db, label)
+    img = spectro.quantize(db)
     img = spectro.resize(img, image_size, image_size)
     return img, params
 
@@ -259,7 +259,7 @@ def generate_corpus(
     # Freeze before taking the row views: a view made earlier stays writable.
     block.flags.writeable = False
     for rec, pixels in zip(records, block):
-        rec.image = spectro.SpectrogramImage(pixels, rec.label)
+        rec.image = spectro.SpectrogramImage(pixels)
     corpus = fsl.split_corpus(spectro.LabeledCorpus(records), seed=seed)
     spectro.write_image(block, out_dir / spectro.BLOCK_FILE)
     spectro.save_manifest(corpus, out_dir / "manifest.json")
@@ -448,15 +448,12 @@ def cmd_gen_data(args) -> None:
     print(f"corpus written to {run_dir / 'corpus'}")
 
 
-def cmd_train(args) -> None:
-    t0 = time.perf_counter()
-    run_dir, config, name = _named_config(args)
-    sim_map = None  # fsl.train's default for quadruplet: the built-in fixture
-    if config.loss == "quadruplet" and config.similarity_map == "computed":
-        # Read before the corpus loads, so a missing mined map fails before any training.
-        path = _require(run_dir / "similarity_map.json", "similarity map (run mine first)")
-        sim_map = SimilarityMap.load(path)
-    corpus = _load_run_corpus(run_dir)
+def _train_checkpoint(
+    run_dir: Path, corpus: spectro.LabeledCorpus, config: TrainConfig, name: str, sim_map
+) -> tuple[fsl.TrainResult, str]:
+    """Train `config` and save checkpoints/<name>.gnssnet; returns the result and
+    that run-relative path. A diverged run keeps <name>_diverged.gnssnet and
+    raises StageError."""
     try:
         result = fsl.train(corpus, config, sim_map=sim_map)
     except fsl.TrainingDiverged as exc:
@@ -466,20 +463,32 @@ def cmd_train(args) -> None:
             f"training diverged at epoch {exc.epoch}; checkpoint retained",
             checkpoint=str(rescue),
         ) from exc
-    ckpt = _subdir(run_dir, "checkpoints") / f"{name}.gnssnet"
-    nncore.save_checkpoint(result.network, ckpt)
+    nncore.save_checkpoint(result.network, _subdir(run_dir, "checkpoints") / f"{name}.gnssnet")
+    return result, f"checkpoints/{name}.gnssnet"
+
+
+def cmd_train(args) -> None:
+    t0 = time.perf_counter()
+    run_dir, config, name = _named_config(args)
+    sim_map = None  # fsl.train's default for quadruplet: the built-in fixture
+    if config.loss == "quadruplet" and config.similarity_map == "computed":
+        # Read before the corpus loads, so a missing mined map fails before any training.
+        path = _require(run_dir / "similarity_map.json", "similarity map (run mine first)")
+        sim_map = SimilarityMap.load(path)
+    corpus = _load_run_corpus(run_dir)
+    result, ckpt = _train_checkpoint(run_dir, corpus, config, name, sim_map)
     with open(_subdir(run_dir, "reports") / f"train_{name}.csv", "w", newline="") as fh:
         fh.write("epoch,loss\n")
         for i, loss in enumerate(result.epoch_losses):
             fh.write(f"{i},{loss:.9f}\n")
     _append_stage(
         run_dir, f"train:{name}", t0,
-        {"checkpoint": f"checkpoints/{name}.gnssnet", "log": f"reports/train_{name}.csv"},
+        {"checkpoint": ckpt, "log": f"reports/train_{name}.csv"},
         identity=config,
         master_seed=config.seed,
         config=config.to_dict(),
     )
-    print(f"checkpoint written to {ckpt}")
+    print(f"checkpoint written to {run_dir / ckpt}")
 
 
 def cmd_ensemble(args) -> None:
@@ -489,13 +498,12 @@ def cmd_ensemble(args) -> None:
     run_dir = Path(args.run)
     config = _load_config(args)
     corpus = _load_run_corpus(run_dir)
-    ckpt_dir = _subdir(run_dir, "checkpoints")
     paths = {}
     for i in range(args.members):
         member_cfg = replace(config, seed=config.seed + i, pretrain="ce", loss="ce")
-        result = fsl.train(corpus, member_cfg)
-        nncore.save_checkpoint(result.network, ckpt_dir / f"ensemble_{i:02d}.gnssnet")
-        paths[f"member_{i:02d}"] = f"checkpoints/ensemble_{i:02d}.gnssnet"
+        _, paths[f"member_{i:02d}"] = _train_checkpoint(
+            run_dir, corpus, member_cfg, f"ensemble_{i:02d}", None
+        )
     _append_stage(
         run_dir, "ensemble", t0, paths,
         identity=config,
@@ -503,14 +511,12 @@ def cmd_ensemble(args) -> None:
         members=args.members,
         config=config.to_dict(),
     )
-    print(f"{args.members} ensemble members written to {ckpt_dir}")
+    print(f"{args.members} ensemble members written to {run_dir / 'checkpoints'}")
 
 
-def _load_ensemble(
-    run_dir: Path, corpus: spectro.LabeledCorpus
-) -> tuple[uncertainty.Ensemble, list]:
+def _load_ensemble(run_dir: Path, corpus: spectro.LabeledCorpus) -> tuple[list, list]:
     """The members of the run's latest ensemble stage and the base classes
-    their heads score."""
+    their heads score; every member needs one head output per base class."""
     entry = _find_stage(run_dir, "ensemble")
     if entry is None:
         raise StageError("missing upstream artifact: ensemble checkpoints (run ensemble first)",
@@ -518,30 +524,31 @@ def _load_ensemble(
     config = TrainConfig.from_dict(jsondoc.expect(entry.get("config"), "ensemble config"))
     train_classes = sorted(set(corpus.classes()) - set(config.adaptation_classes))
     artifacts = entry.get("artifacts", {})
+    if not artifacts:
+        raise ValueError("ensemble needs at least one member")
     members = []
     for key in sorted(artifacts):
         path = _require(run_dir / artifacts[key], f"ensemble member {key}")
         members.append(nncore.load_checkpoint(path))
-    ensemble = uncertainty.Ensemble(members)
-    heads = members[0].config.num_classes
-    if heads != len(train_classes):
-        raise ValueError(
-            f"ensemble members have {heads}-class heads, but the run has "
-            f"{len(train_classes)} base classes"
-        )
-    return ensemble, train_classes
+        heads = members[-1].config.num_classes or 0  # 0: a headless member
+        if heads != len(train_classes):
+            raise ValueError(
+                f"ensemble members have {heads}-class heads, but the run has "
+                f"{len(train_classes)} base classes"
+            )
+    return members, train_classes
 
 
 def cmd_mine(args) -> None:
     t0 = time.perf_counter()
     run_dir = Path(args.run)
     corpus = _load_run_corpus(run_dir)
-    ensemble, train_classes = _load_ensemble(run_dir, corpus)
+    members, train_classes = _load_ensemble(run_dir, corpus)
     val = corpus.subset(split="val", classes=set(train_classes))
     remap = {c: i for i, c in enumerate(train_classes)}
     images = [r.image.pixels for r in val.records]
     # One forward pass per member; the map and the CSV share its decomposition.
-    member_probs = np.stack([uncertainty.predict_member(m, images) for m in ensemble.members])
+    member_probs = np.stack([uncertainty.predict_member(m, images) for m in members])
     report = uncertainty.decompose_uncertainty(member_probs)
     sim_map = fsl.build_similarity_map(
         report, [remap[r.label] for r in val.records], quantile=args.quantile
@@ -685,12 +692,18 @@ def cmd_embed(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, config=True):
+_COMMON_FLAGS = {
+    "--config": {"help": "TrainConfig JSON file"},
+    "--name": {"help": "checkpoint name (default: the loss kind)"},
+    "--force": {"action": "store_true", "help": "ignore config hash mismatches"},
+}
+
+
+def _add_common(p, *flags):
+    """--run plus the named shared flags, each only on the stages that read it."""
     p.add_argument("--run", required=True, help="run directory")
-    if config:
-        p.add_argument("--config", help="TrainConfig JSON file")
-        p.add_argument("--name", help="checkpoint name (default: the loss kind)")
-        p.add_argument("--force", action="store_true", help="ignore config hash mismatches")
+    for flag in flags:
+        p.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -709,29 +722,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a backbone (baseline or pairwise)")
-    _add_common(p)
+    _add_common(p, "--config", "--name")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("ensemble", help="train M independently seeded classifiers")
-    _add_common(p)
+    _add_common(p, "--config")
     p.add_argument("--members", type=int, default=10)
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("mine", help="build the similar-class map from ensemble uncertainty")
-    _add_common(p, config=False)
+    _add_common(p)
     p.add_argument("--quantile", type=float, default=0.75)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("adapt", help="build prototypes for the held-out classes")
-    _add_common(p)
+    _add_common(p, "--config", "--name", "--force")
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("eval", help="score the test split and emit reports")
-    _add_common(p)
+    _add_common(p, "--config", "--name", "--force")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("embed", help="t-SNE projection of test embeddings")
-    _add_common(p)
+    _add_common(p, "--config", "--name", "--force")
     p.add_argument("--perplexity", type=float, default=30.0)
     p.add_argument("--iters", type=int, default=500)
     p.set_defaults(func=cmd_embed)

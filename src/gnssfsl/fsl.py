@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -226,13 +226,12 @@ def adapt(
     backbone: EmbeddingNetwork,
     new_support: dict,
     k: int,
-    base: Optional[PrototypeClassifier] = None,
+    base: PrototypeClassifier,
 ) -> PrototypeClassifier:
     """Extend a prototype classifier with unseen classes; no gradient updates."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    base_classes = set(base.prototypes) if base is not None else set()
-    overlap = base_classes & set(new_support)
+    overlap = set(base.prototypes) & set(new_support)
     if overlap:
         raise ValueError(f"adaptation classes {sorted(overlap)} already known")
     clipped = {}
@@ -241,7 +240,7 @@ def adapt(
             raise ValueError(f"class {c} has {len(imgs)} samples, k={k} requested")
         clipped[c] = list(imgs)[:k]
     new = compute_prototypes(backbone, clipped)
-    merged = {} if base is None else {c: v.copy() for c, v in base.prototypes.items()}
+    merged = {c: v.copy() for c, v in base.prototypes.items()}
     merged.update(new.prototypes)
     return PrototypeClassifier(merged, backbone)
 
@@ -294,11 +293,14 @@ def load_fixture_map() -> SimilarityMap:
     return SimilarityMap.from_json(fixture.read_text())
 
 
+# Ordered pairs whose mean epistemic trace is at or below this floor are never similar.
+MIN_STAT = 1e-6
+
+
 def build_similarity_map(
     report: UncertaintyReport,
     labels,
     quantile: float = 0.75,
-    min_stat: float = 1e-6,
 ) -> SimilarityMap:
     """Rank confusable class pairs by mean epistemic trace.
 
@@ -306,9 +308,9 @@ def build_similarity_map(
     validation samples whose head-index labels are `labels`. For an ordered
     pair (c, c'), the statistic is the mean epistemic trace over class-c
     samples whose ensemble-mean prediction puts c' in its top-2. Pairs must
-    clear both an absolute floor and the per-class quantile threshold.
+    clear both the absolute floor MIN_STAT and the per-class quantile threshold.
     """
-    # Checked here, not left to np.quantile: when no class clears min_stat,
+    # Checked here, not left to np.quantile: when no class clears MIN_STAT,
     # np.quantile never runs.
     if not 0.0 <= quantile <= 1.0:  # also false for NaN
         raise ValueError(f"quantile must lie in [0, 1], got {quantile}")
@@ -340,12 +342,12 @@ def build_similarity_map(
             for cp in range(k)
             if cp != c and counts[c, cp] > 0
         }
-        values = [v for v in stats.values() if v > min_stat]
+        values = [v for v in stats.values() if v > MIN_STAT]
         if not values:
             continue
         threshold = float(np.quantile(values, quantile))
         chosen = [
-            (v, cp) for cp, v in stats.items() if v > min_stat and v >= threshold
+            (v, cp) for cp, v in stats.items() if v > MIN_STAT and v >= threshold
         ]
         chosen.sort(key=lambda t: (-t[0], t[1]))
         if chosen:
@@ -360,24 +362,21 @@ def _class_index(corpus: LabeledCorpus) -> dict:
     return by_class
 
 
-def sample_quadruplet_indices(
+def sample_roles(
     by_class: dict,
     sim_map: Optional[SimilarityMap],
     anchor_class: int,
     rng: np.random.Generator,
-) -> tuple[int, int, int, int]:
-    """Indices for (anchor, positive, similar, negative) under the label constraints.
+    roles: int,
+) -> tuple[int, ...]:
+    """Indices for (anchor, positive, similar, negative) when `roles` is 4, or
+    for (anchor, positive, negative) when it is 3: the same draws without the
+    similar class and the similar sample.
 
     The similar class is drawn from the map entry for the anchor class; when
-    that entry is empty, from all other classes.
+    that entry is empty, from all other classes. The negative class is drawn
+    from the classes left.
     """
-    return _sample_roles(by_class, sim_map, anchor_class, rng, roles=4)
-
-
-def _sample_roles(by_class, sim_map, anchor_class, rng, roles):
-    """Indices for (anchor, positive, similar, negative), or for (anchor,
-    positive, negative) when `roles` is 3: the same draws without the similar
-    class and the similar sample."""
     classes = sorted(by_class)
     if len(classes) < roles - 1:
         raise ValueError(f"need at least {roles - 1} classes, corpus has {len(classes)}")
@@ -524,8 +523,7 @@ class TrainConfig:
 class TrainResult:
     network: EmbeddingNetwork
     epoch_losses: list
-    config: TrainConfig
-    train_classes: list = field(default_factory=list)
+    train_classes: list
 
 
 def _normalize_embeddings(emb: np.ndarray, mode: str):
@@ -564,7 +562,7 @@ def _pairwise_step(
         raise ValueError("pairwise losses need a class with at least 2 train samples")
     for i in range(b):
         anchor_class = eligible[rng.integers(len(eligible))]
-        idx[:, i] = _sample_roles(by_class, sim_map, anchor_class, rng, roles)
+        idx[:, i] = sample_roles(by_class, sim_map, anchor_class, rng, roles)
 
     flat = idx.reshape(-1)
     images = [corpus.records[j].image.pixels for j in flat]
@@ -638,7 +636,7 @@ def train(
         epoch_losses.append(float(np.mean(step_losses)))
         if epoch_callback is not None:
             epoch_callback(epoch, net)
-    return TrainResult(net, epoch_losses, config, sorted(train_classes))
+    return TrainResult(net, epoch_losses, sorted(train_classes))
 
 
 def _epoch_steps(use_head, train_corpus, config, rng):

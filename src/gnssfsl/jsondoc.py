@@ -5,11 +5,13 @@ import json
 
 
 def parse(text: str, what: str, kind: type = dict):
-    """The JSON document `text`, which must be a `kind` (dict or list). Nesting
-    past the recursion limit or another top-level type raises ValueError naming
-    `what`; invalid JSON raises json.JSONDecodeError, also a ValueError."""
+    """The JSON document `text`, which must be a `kind` (dict or list). Invalid
+    JSON, nesting past the recursion limit or another top-level type raises
+    ValueError naming `what`."""
     try:
         doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what}: {exc}") from None
     except RuntimeError:  # the recursion limit: json raises no other RuntimeError
         raise ValueError(f"{what} nests deeper than the recursion limit") from None
     return expect(doc, what, kind)

@@ -101,8 +101,8 @@ def sgd_step(
     params: np.ndarray,
     grads: np.ndarray,
     lr: float,
-    weight_decay: float = 0.0,
-    decay_mask: Optional[np.ndarray] = None,
+    weight_decay: float,
+    decay_mask: np.ndarray,
 ) -> np.ndarray:
     """Vanilla SGD with decoupled-style L2: p <- p - lr*(g + wd*p).
 
@@ -113,13 +113,10 @@ def sgd_step(
     if not np.all(np.isfinite(grads)):
         bad = int(np.flatnonzero(~np.isfinite(grads))[0])
         raise FloatingPointError(f"non-finite gradient at coordinate {bad}")
-    decay = grads.dtype.type(weight_decay)
     if weight_decay == 0.0:
-        update = grads
-    elif decay_mask is None:
-        update = grads + decay * params
+        update = grads  # adding 0 * p would turn the -0.0 updates into +0.0
     else:
-        update = grads + decay * np.where(decay_mask, params, 0)
+        update = grads + grads.dtype.type(weight_decay) * np.where(decay_mask, params, 0)
     return params - grads.dtype.type(lr) * update
 
 

@@ -40,7 +40,6 @@ class SpectrogramDb:
 @dataclass
 class SpectrogramImage:
     pixels: np.ndarray  # uint8, h x w
-    label: Optional[int] = None
 
     def __post_init__(self):
         if self.pixels.ndim != 2 or self.pixels.size == 0:
@@ -104,7 +103,7 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x, out=x)
 
 
-def quantize(db: SpectrogramDb, label: Optional[int] = None) -> SpectrogramImage:
+def quantize(db: SpectrogramDb) -> SpectrogramImage:
     """Map dB values in [-90, 0] to u8 pixels; -90 -> 0, 0 -> 255, half rounds up."""
     grid = db.grid
     if grid.min() < DB_FLOOR or grid.max() > 0.0:
@@ -116,7 +115,7 @@ def quantize(db: SpectrogramDb, label: Optional[int] = None) -> SpectrogramImage
     pixels /= -DB_FLOOR
     _round_half_up(pixels)
     pixels.clip(0, 255, out=pixels)
-    return SpectrogramImage(pixels.astype(np.uint8), label)
+    return SpectrogramImage(pixels.astype(np.uint8))
 
 
 @functools.lru_cache(maxsize=16)
@@ -137,7 +136,7 @@ def resize(image: SpectrogramImage, h_out: int, w_out: int) -> SpectrogramImage:
         raise ValueError(f"target dims must be positive, got {h_out}x{w_out}")
     h_in, w_in = image.pixels.shape
     if (h_in, w_in) == (h_out, w_out):
-        return SpectrogramImage(image.pixels.copy(), image.label)
+        return SpectrogramImage(image.pixels.copy())
 
     rows, wy = _resize_taps(h_out, h_in)
     cols, wx = _resize_taps(w_out, w_in)
@@ -150,7 +149,7 @@ def resize(image: SpectrogramImage, h_out: int, w_out: int) -> SpectrogramImage:
     top_bot *= wy[:, :, None]
     out = top_bot[0] + top_bot[1]
     _round_half_up(out).clip(0, 255, out=out)
-    return SpectrogramImage(out.astype(np.uint8), image.label)
+    return SpectrogramImage(out.astype(np.uint8))
 
 
 def write_image(block: np.ndarray, path: str | Path) -> None:
@@ -272,5 +271,5 @@ def load_corpus(manifest_path: str | Path, load_images: bool = True) -> LabeledC
                 f"manifest has {len(records)} entries"
             )
         for rec, pixels in zip(records, block):
-            rec.image = SpectrogramImage(pixels, rec.label)
+            rec.image = SpectrogramImage(pixels)
     return LabeledCorpus(records)

@@ -19,18 +19,6 @@ from .nncore import EmbeddingNetwork, softmax_normalize
 
 
 @dataclass
-class Ensemble:
-    members: list
-
-    def __post_init__(self):
-        if len(self.members) < 1:
-            raise ValueError("ensemble needs at least one member")
-        heads = {m.config.num_classes for m in self.members}
-        if len(heads) != 1 or None in heads:
-            raise ValueError("all members need the same classifier head")
-
-
-@dataclass
 class UncertaintyReport:
     """Decomposition of one sample (K x K matrices) or of N samples (N x K x K)."""
 

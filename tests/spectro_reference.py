@@ -8,8 +8,6 @@ float64 before the bilinear gathers. `spectro.stft_magnitude`, `quantize` and
 agree to rounding.
 """
 
-from typing import Optional
-
 import numpy as np
 
 from gnssfsl.siggen import IQSnapshot
@@ -49,14 +47,14 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5)
 
 
-def ref_quantize(db: SpectrogramDb, label: Optional[int] = None) -> SpectrogramImage:
+def ref_quantize(db: SpectrogramDb) -> SpectrogramImage:
     grid = db.grid
     if grid.min() < DB_FLOOR or grid.max() > 0.0:
         raise ValueError(
             f"dB grid outside [{DB_FLOOR}, 0]: min={grid.min()} max={grid.max()}"
         )
     pixels = _round_half_up(255.0 * (grid - DB_FLOOR) / -DB_FLOOR)
-    return SpectrogramImage(np.clip(pixels, 0, 255).astype(np.uint8), label)
+    return SpectrogramImage(np.clip(pixels, 0, 255).astype(np.uint8))
 
 
 def ref_resize(image: SpectrogramImage, h_out: int, w_out: int) -> SpectrogramImage:
@@ -64,7 +62,7 @@ def ref_resize(image: SpectrogramImage, h_out: int, w_out: int) -> SpectrogramIm
         raise ValueError(f"target dims must be positive, got {h_out}x{w_out}")
     h_in, w_in = image.pixels.shape
     if (h_in, w_in) == (h_out, w_out):
-        return SpectrogramImage(image.pixels.copy(), image.label)
+        return SpectrogramImage(image.pixels.copy())
 
     src = image.pixels.astype(np.float64)
 
@@ -81,4 +79,4 @@ def ref_resize(image: SpectrogramImage, h_out: int, w_out: int) -> SpectrogramIm
     bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
     out = top * (1 - fy)[:, None] + bot * fy[:, None]
     pixels = np.clip(_round_half_up(out), 0, 255).astype(np.uint8)
-    return SpectrogramImage(pixels, image.label)
+    return SpectrogramImage(pixels)

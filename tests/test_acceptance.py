@@ -220,7 +220,7 @@ def test_criterion_5_mining_constraints(desk_corpus):
     anchor0_similars = set()
     for i in range(10_000):
         anchor = int(classes[rng.integers(len(classes))])
-        idx = fsl.sample_quadruplet_indices(by_class, sim_map, anchor, rng)
+        idx = fsl.sample_roles(by_class, sim_map, anchor, rng, roles=4)
         a, p, s, n = (desk_corpus.records[j] for j in idx)
         if not (a.label == p.label == anchor and a.file != p.file):
             violations += 1

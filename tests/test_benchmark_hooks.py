@@ -77,7 +77,7 @@ def test_one_public_loss_call_per_pair_step(monkeypatch, kind):
             )
     rng = np.random.default_rng(0)
     records = [
-        CorpusRecord(f"{c}_{i}.img", c, "train", i, image=SpectrogramImage(pix, c))
+        CorpusRecord(f"{c}_{i}.img", c, "train", i, image=SpectrogramImage(pix))
         for c in range(3)
         for i, pix in enumerate(rng.integers(0, 256, size=(3, 8, 8), dtype=np.uint8))
     ]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import shlex
@@ -68,6 +69,45 @@ class TestReadme:
                 pytest.fail(f"README command does not parse: {command}")
 
 
+# Each subcommand's option strings: a flag that no stage reads has no place here.
+STAGE_OPTIONS = {
+    "gen-data": ["--counts", "--image-size", "--out", "--profile", "--seed", "--total"],
+    "train": ["--config", "--name", "--run"],
+    "ensemble": ["--config", "--members", "--run"],
+    "mine": ["--quantile", "--run"],
+    "adapt": ["--config", "--force", "--name", "--run"],
+    "eval": ["--config", "--force", "--name", "--run"],
+    "embed": ["--config", "--force", "--iters", "--name", "--perplexity", "--run"],
+}
+
+
+class TestFlagSurface:
+    def test_each_stage_takes_only_the_flags_it_reads(self):
+        (subparsers,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert sorted(subparsers.choices) == sorted(STAGE_OPTIONS)
+        for command, options in STAGE_OPTIONS.items():
+            parser = subparsers.choices[command]
+            got = sorted(o for a in parser._actions for o in a.option_strings)
+            assert got == sorted(options + ["-h", "--help"]), command
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ensemble", "--name", "x"], ["ensemble", "--force"], ["train", "--force"]],
+        ids=["ensemble-name", "ensemble-force", "train-force"],
+    )
+    def test_unread_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
+        cfg = quick_config_file(tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        with pytest.raises(SystemExit) as info:
+            cli.main([argv[0], "--run", str(tmp_path), "--config", str(cfg), *argv[1:]])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 class TestClassCounts:
     def test_desk_profile_floors_rare_classes(self):
         counts = class_counts("desk", total=2000)
@@ -106,7 +146,6 @@ class TestSynthesizeRecord:
                 window=256, hop=64, image_size=32,
             )
             assert img.pixels.shape == (32, 32)
-            assert img.label == label
             if label >= 3:
                 assert "jnr_db" in params
 
@@ -341,8 +380,8 @@ class TestStageErrors:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"epochs": "x"}', '{"conv_channels": 5}', "[1, 2]"],
-        ids=["type", "tuple", "array"],
+        ['{"epochs": "x"}', '{"conv_channels": 5}', "[1, 2]", "not json"],
+        ids=["type", "tuple", "array", "invalid"],
     )
     def test_malformed_config_exits_with_json_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
@@ -624,6 +663,46 @@ class TestStageErrors:
         assert err["error"] == "ValueError"
         assert "11-class heads" in err["message"] and "7 base classes" in err["message"]
         assert forwards == []
+
+    def test_ensemble_mixed_heads_rejected(self, pipeline_run, tmp_path, capsys, monkeypatch):
+        # One member with a head of another size, then one headless member
+        # beside a valid one: each run is refused before any forward pass.
+        src, _, _ = pipeline_run
+        forwards = []
+        monkeypatch.setattr(uncertainty, "predict_member", lambda *a: forwards.append(1))
+        for num_classes, heads in ((5, "5-class heads"), (None, "0-class heads")):
+            run = tmp_path / f"run_{num_classes}"
+            shutil.copytree(src, run)
+            path = run / "checkpoints" / "ensemble_01.gnssnet"
+            config = fsl.replace(nncore.load_checkpoint(path).config, num_classes=num_classes)
+            nncore.save_checkpoint(nncore.init(config, seed=0), path)
+            capsys.readouterr()
+            assert cli.main(["mine", "--run", str(run)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError"
+            assert heads in err["message"] and "7 base classes" in err["message"]
+            assert (run / "similarity_map.json").read_bytes() == (
+                src / "similarity_map.json"
+            ).read_bytes()
+        assert forwards == []
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_diverging_ensemble_member_keeps_error_contract(self, tmp_path, capsys):
+        # Members train through train's path: a diverged member is kept as
+        # <name>_diverged.gnssnet and reported as a stage_error, not a traceback.
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
+        cfg = quick_config_file(tmp_path, lr=1e30)
+        manifest = (tmp_path / "run_manifest.json").read_bytes()
+        capsys.readouterr()
+        rc = cli.main(["ensemble", "--run", str(tmp_path), "--config", str(cfg), "--members", "2"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "stage_error"
+        assert "diverged" in err["message"]
+        rescue = tmp_path / "checkpoints" / "ensemble_00_diverged.gnssnet"
+        assert err["checkpoint"] == str(rescue)
+        assert rescue.exists()
+        assert (tmp_path / "run_manifest.json").read_bytes() == manifest
 
     def test_ensemble_without_members_rejected_before_training(
         self, tmp_path, capsys, monkeypatch

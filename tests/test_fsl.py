@@ -19,7 +19,7 @@ from gnssfsl.fsl import (
     compute_prototypes,
     load_fixture_map,
     pn_episode_loss,
-    sample_quadruplet_indices,
+    sample_roles,
     split_corpus,
     train,
 )
@@ -42,7 +42,7 @@ def toy_corpus(class_sizes: dict, seed=0, size=8) -> LabeledCorpus:
                     label=label,
                     split="train",
                     seed=i,
-                    image=SpectrogramImage(pix, label),
+                    image=SpectrogramImage(pix),
                 )
             )
     return LabeledCorpus(records)
@@ -274,7 +274,7 @@ class TestSimilarityMap:
     @pytest.mark.parametrize("quantile", [5.0, -0.1, float("nan")])
     def test_quantile_outside_unit_interval_rejected_with_zero_traces(self, quantile):
         # One member: every epistemic trace is 0, so no class clears
-        # min_stat and np.quantile never sees the quantile.
+        # fsl.MIN_STAT and np.quantile never sees the quantile.
         rng = np.random.default_rng(4)
         raw = rng.gamma(0.5, size=(1, 12, 3))
         probs = raw / raw.sum(axis=2, keepdims=True)
@@ -337,7 +337,7 @@ class TestSimilarityMap:
 class TestQuadrupletSampling:
     @staticmethod
     def _draw(corpus, sim_map, anchor, rng):
-        idx = sample_quadruplet_indices(fsl._class_index(corpus), sim_map, anchor, rng)
+        idx = sample_roles(fsl._class_index(corpus), sim_map, anchor, rng, roles=4)
         return [corpus.records[i] for i in idx]
 
     def test_constraints_hold_over_many_draws(self):
@@ -378,7 +378,7 @@ class TestQuadrupletSampling:
         by_class = fsl._class_index(corpus)
         rng = np.random.default_rng(6)
         for _ in range(50):
-            a, p, n = (corpus.records[i] for i in fsl._sample_roles(by_class, None, 0, rng, 3))
+            a, p, n = (corpus.records[i] for i in sample_roles(by_class, None, 0, rng, 3))
             assert a.label == p.label == 0 and a.file != p.file
             assert n.label == 1
 
@@ -536,8 +536,8 @@ class TestSatisfactionRate:
         eligible = [c for c in sorted(by_class) if len(by_class[c]) >= 2]
         quads = np.array(
             [
-                fsl.sample_quadruplet_indices(
-                    by_class, sim_map, eligible[rng.integers(len(eligible))], rng
+                sample_roles(
+                    by_class, sim_map, eligible[rng.integers(len(eligible))], rng, roles=4
                 )
                 for _ in range(400)
             ]

@@ -1,7 +1,7 @@
-"""Each JSON document the pipeline reads refuses nesting past the recursion
-limit with a ValueError that names it, as it refuses any other malformed
-document. The checkpoint header's case is in test_nncore.py's malformed-file
-test."""
+"""Each JSON document the pipeline reads refuses invalid JSON and nesting past
+the recursion limit with a ValueError that names it, as it refuses any other
+malformed document. The checkpoint header's cases are in test_nncore.py's
+malformed-file test."""
 
 import pytest
 
@@ -11,29 +11,41 @@ from gnssfsl import cli, fsl, spectro
 DEEP = DEEP_JSON.decode()
 
 
-def _deep_file(path):
-    path.write_text(DEEP)
+def _file(path, text):
+    path.write_text(text)
     return path
 
 
-@pytest.mark.parametrize(
+READERS = pytest.mark.parametrize(
     "read, what",
     [
-        (lambda d: fsl.TrainConfig.from_json(DEEP), "config"),
-        (lambda d: fsl.SimilarityMap.from_json(DEEP), "similarity map"),
+        (lambda d, text: fsl.TrainConfig.from_json(text), "config"),
+        (lambda d, text: fsl.SimilarityMap.from_json(text), "similarity map"),
         (
-            lambda d: spectro.load_corpus(_deep_file(d / "manifest.json"), load_images=False),
+            lambda d, text: spectro.load_corpus(_file(d / "manifest.json", text), load_images=False),
             "manifest.json: corpus manifest",
         ),
         (
-            lambda d: cli._load_manifest(_deep_file(d / "run_manifest.json").parent),
+            lambda d, text: cli._load_manifest(_file(d / "run_manifest.json", text).parent),
             "run_manifest.json: run manifest",
         ),
-        (lambda d: cli._parse_counts(DEEP), "--counts"),
+        (lambda d, text: cli._parse_counts(text), "--counts"),
     ],
     ids=["config", "similarity-map", "corpus-manifest", "run-manifest", "counts"],
 )
+
+
+@READERS
 def test_deep_document_raises_value_error(tmp_path, read, what):
     with pytest.raises(ValueError, match="recursion") as info:
-        read(tmp_path)
+        read(tmp_path, DEEP)
     assert what in str(info.value)
+
+
+@READERS
+def test_invalid_json_raises_value_error_naming_the_document(tmp_path, read, what):
+    # json.JSONDecodeError is a ValueError too, but its message names no document.
+    with pytest.raises(ValueError) as info:
+        read(tmp_path, "not json")
+    assert type(info.value) is ValueError
+    assert str(info.value).endswith(f"{what}: Expecting value: line 1 column 1 (char 0)")

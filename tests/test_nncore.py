@@ -408,16 +408,19 @@ class TestSoftmaxNormalize:
 class TestSgd:
     def test_fixed_point(self):
         p = np.array([1.0, -2.0])
-        out = sgd_step(p, np.zeros(2), lr=0.1, weight_decay=0.0)
+        out = sgd_step(p, np.zeros(2), lr=0.1, weight_decay=0.0, decay_mask=np.ones(2, bool))
         np.testing.assert_array_equal(out, p)
 
     def test_exact_update_value(self):
-        out = sgd_step(np.array([1.0]), np.array([1.0]), lr=0.01, weight_decay=0.0005)
+        out = sgd_step(
+            np.array([1.0]), np.array([1.0]), lr=0.01, weight_decay=0.0005,
+            decay_mask=np.ones(1, bool),
+        )
         np.testing.assert_allclose(out, [0.989995], atol=1e-12)
 
     def test_decay_contracts(self):
         p = np.array([3.0, -4.0])
-        out = sgd_step(p, np.zeros(2), lr=0.1, weight_decay=0.01)
+        out = sgd_step(p, np.zeros(2), lr=0.1, weight_decay=0.01, decay_mask=np.ones(2, bool))
         assert np.all(np.abs(out) < np.abs(p))
 
     def test_decay_mask_spares_biases(self):
@@ -429,7 +432,10 @@ class TestSgd:
 
     def test_nan_gradient_aborts(self):
         with pytest.raises(FloatingPointError):
-            sgd_step(np.array([1.0]), np.array([np.nan]), lr=0.1)
+            sgd_step(
+                np.array([1.0]), np.array([np.nan]), lr=0.1, weight_decay=0.0,
+                decay_mask=np.ones(1, bool),
+            )
 
 
 _SMALL_HEADER = {
@@ -486,26 +492,30 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "cut",
+        "cut, match",
         [
-            lambda data, hlen: data[:10],  # shorter than the 12-byte preamble
-            lambda data, hlen: data[: 12 + hlen // 2],  # truncated header
-            lambda data, hlen: data[:-3],  # truncated payload
-            lambda data, hlen: data + b"\x00" * 8,  # trailing bytes
-            lambda data, hlen: data[:8] + (2).to_bytes(4, "little") + b"{}",  # no fields
-            lambda data, hlen: data[:8] + (2).to_bytes(4, "little") + b"[]",  # not an object
-            lambda data, hlen: data[:8] + (200000).to_bytes(4, "little") + DEEP_JSON,
+            (lambda data, hlen: data[:10], "preamble"),  # shorter than the 12-byte preamble
+            (lambda data, hlen: data[: 12 + hlen // 2], "truncated"),  # truncated header
+            (lambda data, hlen: data[:-3], "payload"),  # truncated payload
+            (lambda data, hlen: data + b"\x00" * 8, "payload"),  # trailing bytes
+            (lambda data, hlen: data[:8] + (2).to_bytes(4, "little") + b"{}", "lacks"),
+            (lambda data, hlen: data[:8] + (2).to_bytes(4, "little") + b"[]", "JSON object"),
+            (lambda data, hlen: data[:8] + (200000).to_bytes(4, "little") + DEEP_JSON,
+             "checkpoint header nests deeper"),
+            (lambda data, hlen: data[:8] + (8).to_bytes(4, "little") + b"not json",
+             "checkpoint header: Expecting value"),
         ],
-        ids=["preamble", "header", "payload", "trailing", "fields", "object", "deep"],
+        ids=["preamble", "header", "payload", "trailing", "fields", "object", "deep", "not-json"],
     )
-    def test_malformed_file_raises_value_error(self, tmp_path, cut):
+    def test_malformed_file_raises_value_error(self, tmp_path, cut, match):
         path = tmp_path / "net.gnssnet"
         save_checkpoint(init(SMALL, seed=23), path)
         data = path.read_bytes()
         hlen = int.from_bytes(data[8:12], "little")
         path.write_bytes(cut(data, hlen))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match) as info:
             load_checkpoint(path)
+        assert type(info.value) is ValueError
 
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         net = init(ODD_HEAD, seed=26)

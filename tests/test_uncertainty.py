@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnssfsl.nncore import ArchConfig, init
-from gnssfsl.uncertainty import (
-    Ensemble,
-    decompose_uncertainty,
-    predict_member,
-    write_uncertainty_csv,
-)
+from gnssfsl.uncertainty import decompose_uncertainty, predict_member, write_uncertainty_csv
 
 HEAD_CFG = ArchConfig(height=8, width=8, conv_channels=(2,), embed_dim=4, num_classes=3)
 
@@ -108,47 +103,37 @@ class TestScalar:
 
 
 class TestEnsemble:
-    def _ensemble(self, seeds):
-        return Ensemble([init(HEAD_CFG, seed=s) for s in seeds])
+    def _members(self, seeds):
+        return [init(HEAD_CFG, seed=s) for s in seeds]
 
     def test_member_count_is_t(self):
-        ens = self._ensemble([1])
         img = np.zeros((8, 8), dtype=np.uint8)
-        probs = np.stack([predict_member(m, [img]) for m in ens.members])
+        probs = np.stack([predict_member(m, [img]) for m in self._members([1])])
         assert probs.shape == (1, 1, 3)
 
     def test_outputs_on_simplex(self):
-        ens = self._ensemble([1, 2, 3])
         rng = np.random.default_rng(0)
         img = rng.integers(0, 256, size=(8, 8)).astype(np.uint8)
-        for member in ens.members:
+        for member in self._members([1, 2, 3]):
             (vec,) = predict_member(member, [img])
             assert vec.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(vec >= 0)
 
     def test_cloned_members_identical_outputs(self):
-        ens = self._ensemble([7, 7, 7])
         rng = np.random.default_rng(1)
         img = rng.integers(0, 256, size=(8, 8)).astype(np.uint8)
-        out = [predict_member(m, [img])[0] for m in ens.members]
+        out = [predict_member(m, [img])[0] for m in self._members([7, 7, 7])]
         np.testing.assert_array_equal(out[0], out[1])
         np.testing.assert_array_equal(out[1], out[2])
         rep = decompose_uncertainty(out)
         np.testing.assert_allclose(rep.epistemic, 0.0, atol=1e-15)
 
-    def test_mixed_heads_rejected(self):
-        other = ArchConfig(height=8, width=8, conv_channels=(2,), embed_dim=4, num_classes=5)
-        with pytest.raises(ValueError):
-            Ensemble([init(HEAD_CFG, 1), init(other, 2)])
-        headless = ArchConfig(height=8, width=8, conv_channels=(2,), embed_dim=4)
-        with pytest.raises(ValueError):
-            Ensemble([init(headless, 1)])
-
     def test_reports_and_csv(self, tmp_path):
-        ens = self._ensemble([1, 2])
         rng = np.random.default_rng(2)
         imgs = rng.integers(0, 256, size=(3, 8, 8)).astype(np.uint8)
-        report = decompose_uncertainty(np.stack([predict_member(m, imgs) for m in ens.members]))
+        report = decompose_uncertainty(
+            np.stack([predict_member(m, imgs) for m in self._members([1, 2])])
+        )
         assert report.aleatoric_trace.shape == (3,)
         path = tmp_path / "unc.csv"
         write_uncertainty_csv(path, ["a", "b", "c"], [0, 1, 2], [0, 0, 2], report)
