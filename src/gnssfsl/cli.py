@@ -12,7 +12,10 @@ import argparse
 import hashlib
 import json
 import os
+import pickle
+import signal
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -300,7 +303,7 @@ def _load_manifest(run_dir: Path) -> dict:
     path = _manifest_path(run_dir)
     if not path.exists():
         return {"stages": []}
-    manifest = jsondoc.parse(path.read_text(), f"{path}: run manifest")
+    manifest = jsondoc.parse(path.read_bytes(), f"{path}: run manifest")
     stages = manifest.get("stages")
     if not isinstance(stages, list):
         raise ValueError(f"{path}: run manifest must be an object with a 'stages' list")
@@ -386,7 +389,7 @@ def _subdir(run_dir: Path, name: str) -> Path:
 
 def _load_config(args) -> TrainConfig:
     if args.config:
-        return TrainConfig.from_json(_require(Path(args.config), "config file").read_text())
+        return TrainConfig.from_json(_require(Path(args.config), "config file").read_bytes())
     return TrainConfig()
 
 
@@ -491,6 +494,100 @@ def cmd_train(args) -> None:
     print(f"checkpoint written to {run_dir / ckpt}")
 
 
+def _member_workers(members: int) -> int:
+    """Processes that train `members` ensemble members: one per usable core when
+    BLAS runs one thread, fewer when it runs more (each process runs that many
+    threads), and one where the process cannot fork safely. BLAS threads are
+    OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, else the core count, as OpenBLAS
+    itself reads them."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:  # a forked child gets only the forking thread
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    threads = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            threads = int(value)
+            break
+    return max(1, min(members, cores // threads))
+
+
+def _train_members(run_dir: Path, corpus: spectro.LabeledCorpus, configs: list) -> list[str]:
+    """Train member i of `configs` as checkpoints/ensemble_<i>.gnssnet; returns
+    the run-relative paths in member order.
+
+    Member i goes to worker i mod W (W from _member_workers). This process is
+    worker 0; it forks the others, trains its own share, then reads each
+    child's outcomes (a path per member, or the exception that ended the
+    child's share) from a pipe. The lowest-index failure is raised, once
+    every child is reaped; a child that ends without sending its outcomes
+    fails its members with a StageError giving its exit status."""
+    workers = _member_workers(len(configs))
+
+    def share(worker: int) -> dict:
+        outcomes = {}
+        for i in range(worker, len(configs), workers):
+            try:
+                outcomes[i] = _train_checkpoint(
+                    run_dir, corpus, configs[i], f"ensemble_{i:02d}", None
+                )[1]
+            except Exception as exc:  # raised by the parent, in member order
+                outcomes[i] = exc
+                break
+        return outcomes
+
+    children = []  # (pid, worker, read end of its pipe), until reaped
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child never returns from this block
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(share(worker), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, worker, read_fd))
+        outcomes = share(0)
+        while children:
+            pid, worker, read_fd = children[0]
+            sent = b"".join(iter(lambda: os.read(read_fd, 1 << 16), b""))
+            _, wait_status = os.waitpid(pid, 0)
+            children.pop(0)
+            os.close(read_fd)
+            status = os.waitstatus_to_exitcode(wait_status)
+            if status == 0:
+                outcomes.update(pickle.loads(sent))
+                continue
+            lost = StageError(
+                f"ensemble worker {worker} ended with exit status {status} "
+                "without sending its members",
+                worker=worker,
+                exit_status=status,
+            )
+            outcomes.update({i: lost for i in range(worker, len(configs), workers)})
+    finally:
+        for pid, _, read_fd in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+    for i in range(len(configs)):
+        if isinstance(outcomes[i], Exception):
+            raise outcomes[i]
+    return [outcomes[i] for i in range(len(configs))]
+
+
 def cmd_ensemble(args) -> None:
     t0 = time.perf_counter()
     if args.members < 1:
@@ -498,12 +595,14 @@ def cmd_ensemble(args) -> None:
     run_dir = Path(args.run)
     config = _load_config(args)
     corpus = _load_run_corpus(run_dir)
-    paths = {}
-    for i in range(args.members):
-        member_cfg = replace(config, seed=config.seed + i, pretrain="ce", loss="ce")
-        _, paths[f"member_{i:02d}"] = _train_checkpoint(
-            run_dir, corpus, member_cfg, f"ensemble_{i:02d}", None
-        )
+    configs = [
+        replace(config, seed=config.seed + i, pretrain="ce", loss="ce")
+        for i in range(args.members)
+    ]
+    paths = {
+        f"member_{i:02d}": path
+        for i, path in enumerate(_train_members(run_dir, corpus, configs))
+    }
     _append_stage(
         run_dir, "ensemble", t0, paths,
         identity=config,

@@ -271,7 +271,7 @@ class SimilarityMap:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "SimilarityMap":
+    def from_json(cls, text: str | bytes) -> "SimilarityMap":
         raw = jsondoc.parse(text, "similarity map")
         if not all(
             c.isascii() and c.isdecimal() and isinstance(v, list) and all(map(_is_int, v))
@@ -284,7 +284,7 @@ class SimilarityMap:
 
     @classmethod
     def load(cls, path: str | Path) -> "SimilarityMap":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(Path(path).read_bytes())
 
 
 def load_fixture_map() -> SimilarityMap:
@@ -492,7 +492,7 @@ class TrainConfig:
         return json.dumps(self.to_dict(), indent=1)
 
     @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
+    def from_json(cls, text: str | bytes) -> "TrainConfig":
         return cls.from_dict(jsondoc.parse(text, "config"))
 
     @classmethod

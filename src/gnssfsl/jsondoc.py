@@ -4,13 +4,13 @@ refused with ValueError, here."""
 import json
 
 
-def parse(text: str, what: str, kind: type = dict):
-    """The JSON document `text`, which must be a `kind` (dict or list). Invalid
-    JSON, nesting past the recursion limit or another top-level type raises
-    ValueError naming `what`."""
+def parse(text: str | bytes, what: str, kind: type = dict):
+    """The JSON document `text` (bytes are UTF-8), which must be a `kind` (dict
+    or list). Bytes that are not UTF-8, invalid JSON, nesting past the
+    recursion limit or another top-level type raises ValueError naming `what`."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{what}: {exc}") from None
     except RuntimeError:  # the recursion limit: json raises no other RuntimeError
         raise ValueError(f"{what} nests deeper than the recursion limit") from None

@@ -478,7 +478,7 @@ def load_checkpoint(path: str | Path) -> EmbeddingNetwork:
     (hlen,) = struct.unpack("<I", data[len(CHECKPOINT_MAGIC) : preamble])
     if len(data) < preamble + hlen:
         raise ValueError(f"checkpoint header declares {hlen} bytes, file is truncated")
-    header = jsondoc.parse(data[preamble : preamble + hlen].decode("utf-8"), "checkpoint header")
+    header = jsondoc.parse(data[preamble : preamble + hlen], "checkpoint header")
     missing = sorted(_HEADER_FIELDS - set(header))
     if missing:
         raise ValueError(f"checkpoint header lacks {missing}")

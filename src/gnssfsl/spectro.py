@@ -244,7 +244,7 @@ def load_corpus(manifest_path: str | Path, load_images: bool = True) -> LabeledC
     """Validate every manifest entry, then read the image block next to the
     manifest in one call; record i holds a read-only view of row i."""
     manifest_path = Path(manifest_path)
-    entries = jsondoc.parse(manifest_path.read_text(), f"{manifest_path}: corpus manifest", list)
+    entries = jsondoc.parse(manifest_path.read_bytes(), f"{manifest_path}: corpus manifest", list)
     records = []
     for i, e in enumerate(entries):
         if not (

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import shlex
 import shutil
 import struct
@@ -46,6 +47,13 @@ def quick_config_file(tmp_path: Path, **overrides) -> Path:
     path = tmp_path / f"config_{overrides.get('loss', 'ce')}.json"
     path.write_text(cfg.to_json())
     return path
+
+
+def force_member_workers(monkeypatch, workers: int) -> None:
+    """Make `ensemble` train on `workers` (1 or 2) processes: two usable cores,
+    with two BLAS threads for one worker and one thread for two."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(2 // workers))
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -687,22 +695,122 @@ class TestStageErrors:
         assert forwards == []
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-    def test_diverging_ensemble_member_keeps_error_contract(self, tmp_path, capsys):
+    def test_diverging_ensemble_member_keeps_error_contract(self, tmp_path, capsys, monkeypatch):
         # Members train through train's path: a diverged member is kept as
-        # <name>_diverged.gnssnet and reported as a stage_error, not a traceback.
+        # <name>_diverged.gnssnet and reported as a stage_error, not a traceback,
+        # whether the members train in one process or in two.
+        for workers in (1, 2):
+            force_member_workers(monkeypatch, workers)
+            run = tmp_path / f"workers{workers}"
+            assert cli.main(["gen-data", "--out", str(run), "--counts", TINY_COUNTS]) == 0
+            cfg = quick_config_file(run, lr=1e30)
+            manifest = (run / "run_manifest.json").read_bytes()
+            capsys.readouterr()
+            rc = cli.main(["ensemble", "--run", str(run), "--config", str(cfg), "--members", "2"])
+            assert rc == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "stage_error"
+            assert "diverged" in err["message"]
+            rescue = run / "checkpoints" / "ensemble_00_diverged.gnssnet"
+            assert err["checkpoint"] == str(rescue)
+            assert rescue.exists()
+            assert (run / "run_manifest.json").read_bytes() == manifest
+
+    def test_forked_members_are_byte_identical_to_serial(self, tmp_path, monkeypatch):
+        # Member i depends only on seed + i, so the process that trains it
+        # does not change its bytes.
+        assert cli.main(["gen-data", "--out", str(tmp_path / "one"), "--counts", TINY_COUNTS]) == 0
+        shutil.copytree(tmp_path / "one", tmp_path / "two")
+        cfg = quick_config_file(tmp_path)
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        artifacts = {}
+        for workers, run in ((1, tmp_path / "one"), (2, tmp_path / "two")):
+            force_member_workers(monkeypatch, workers)
+            argv = ["ensemble", "--run", str(run), "--config", str(cfg), "--members", "3"]
+            assert cli.main(argv) == 0
+            artifacts[workers] = cli._find_stage(run, "ensemble")["artifacts"]
+        assert forks == [1]
+        assert artifacts[1] == artifacts[2] and len(artifacts[1]) == 3
+        for rel in artifacts[1].values():
+            assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "two" / rel).read_bytes()
+
+    def test_single_worker_never_forks(self, tmp_path, monkeypatch):
         assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
-        cfg = quick_config_file(tmp_path, lr=1e30)
+        force_member_workers(monkeypatch, 1)
+
+        def no_fork():
+            raise AssertionError("os.fork called with one worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg = quick_config_file(tmp_path)
+        argv = ["ensemble", "--run", str(tmp_path), "--config", str(cfg), "--members", "3"]
+        assert cli.main(argv) == 0
+        assert len(sorted((tmp_path / "checkpoints").glob("ensemble_*.gnssnet"))) == 3
+
+    def test_lost_worker_is_a_stage_error_and_reaped(self, tmp_path, capsys, monkeypatch):
+        # Member 1 is the forked worker's; it dies before sending anything.
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
+        force_member_workers(monkeypatch, 2)
+        real, parent = cli._train_checkpoint, os.getpid()
+
+        def dies_on_member_1(run_dir, corpus, config, name, sim_map):
+            if name == "ensemble_01":
+                assert os.getpid() != parent, "member 1 trained in the test process"
+                os._exit(3)
+            return real(run_dir, corpus, config, name, sim_map)
+
+        monkeypatch.setattr(cli, "_train_checkpoint", dies_on_member_1)
+        cfg = quick_config_file(tmp_path)
         manifest = (tmp_path / "run_manifest.json").read_bytes()
         capsys.readouterr()
-        rc = cli.main(["ensemble", "--run", str(tmp_path), "--config", str(cfg), "--members", "2"])
-        assert rc == 1
+        argv = ["ensemble", "--run", str(tmp_path), "--config", str(cfg), "--members", "3"]
+        assert cli.main(argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "stage_error"
-        assert "diverged" in err["message"]
-        rescue = tmp_path / "checkpoints" / "ensemble_00_diverged.gnssnet"
-        assert err["checkpoint"] == str(rescue)
-        assert rescue.exists()
+        assert err["exit_status"] == 3 and err["worker"] == 1
         assert (tmp_path / "run_manifest.json").read_bytes() == manifest
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_lowest_index_failure_is_raised(self, tmp_path, capsys, monkeypatch):
+        # Members 1 (forked) and 2 (this process) fail; member 1 is reported.
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
+        force_member_workers(monkeypatch, 2)
+
+        def fails_above_0(run_dir, corpus, config, name, sim_map):
+            if name != "ensemble_00":
+                raise cli.StageError(f"{name} failed", member=name)
+            return None, f"checkpoints/{name}.gnssnet"
+
+        monkeypatch.setattr(cli, "_train_checkpoint", fails_above_0)
+        cfg = quick_config_file(tmp_path)
+        capsys.readouterr()
+        argv = ["ensemble", "--run", str(tmp_path), "--config", str(cfg), "--members", "3"]
+        assert cli.main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "stage_error", "message": "ensemble_01 failed",
+                       "member": "ensemble_01"}
+
+    def test_interrupted_parent_kills_and_reaps_workers(self, tmp_path, monkeypatch):
+        # This process's first member is interrupted while the forked worker
+        # would train for a minute: the worker is killed and reaped at once.
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
+        force_member_workers(monkeypatch, 2)
+
+        def interrupted(run_dir, corpus, config, name, sim_map):
+            if name == "ensemble_00":
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "_train_checkpoint", interrupted)
+        cfg = quick_config_file(tmp_path)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["ensemble", "--run", str(tmp_path), "--config", str(cfg), "--members", "2"])
+        assert time.perf_counter() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_ensemble_without_members_rejected_before_training(
         self, tmp_path, capsys, monkeypatch

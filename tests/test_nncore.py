@@ -504,8 +504,13 @@ class TestCheckpoint:
              "checkpoint header nests deeper"),
             (lambda data, hlen: data[:8] + (8).to_bytes(4, "little") + b"not json",
              "checkpoint header: Expecting value"),
+            (lambda data, hlen: data[:8] + (2).to_bytes(4, "little") + b"\xff\xfe",
+             "checkpoint header: 'utf-8' codec can't decode byte 0xff"),
         ],
-        ids=["preamble", "header", "payload", "trailing", "fields", "object", "deep", "not-json"],
+        ids=[
+            "preamble", "header", "payload", "trailing", "fields", "object", "deep", "not-json",
+            "not-utf8",
+        ],
     )
     def test_malformed_file_raises_value_error(self, tmp_path, cut, match):
         path = tmp_path / "net.gnssnet"
