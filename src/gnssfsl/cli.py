@@ -496,10 +496,10 @@ def cmd_train(args) -> None:
 
 def _member_workers(members: int) -> int:
     """Processes that train `members` ensemble members: one per usable core when
-    BLAS runs one thread, fewer when it runs more (each process runs that many
-    threads), and one where the process cannot fork safely. BLAS threads are
-    OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, else the core count, as OpenBLAS
-    itself reads them."""
+    BLAS runs one thread, else one, since processes of several BLAS threads
+    each oversubscribe the cores; one also where the process cannot fork
+    safely. BLAS threads are OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, else
+    the core count, as OpenBLAS itself reads them."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1:  # a forked child gets only the forking thread
@@ -511,7 +511,7 @@ def _member_workers(members: int) -> int:
         if value.isdecimal() and int(value) > 0:
             threads = int(value)
             break
-    return max(1, min(members, cores // threads))
+    return min(members, cores) if threads == 1 else 1
 
 
 def _train_members(run_dir: Path, corpus: spectro.LabeledCorpus, configs: list) -> list[str]:
@@ -519,16 +519,20 @@ def _train_members(run_dir: Path, corpus: spectro.LabeledCorpus, configs: list) 
     the run-relative paths in member order.
 
     Member i goes to worker i mod W (W from _member_workers). This process is
-    worker 0; it forks the others, trains its own share, then reads each
-    child's outcomes (a path per member, or the exception that ended the
-    child's share) from a pipe. The lowest-index failure is raised, once
-    every child is reaped; a child that ends without sending its outcomes
-    fails its members with a StageError giving its exit status."""
+    worker 0; it forks the others, trains its own share (and the shares of
+    workers it could not fork), then reads each child's outcomes (a path per
+    member, or the exception that ended the child's share) from a pipe. The
+    lowest-index failure is raised; once no child left can fail lower, the
+    rest are killed rather than waited for, and every child is reaped. A
+    child that ends without sending its outcomes fails its members with a
+    StageError giving its exit status."""
     workers = _member_workers(len(configs))
 
-    def share(worker: int) -> dict:
+    def share(own: set) -> dict:
         outcomes = {}
-        for i in range(worker, len(configs), workers):
+        for i in range(len(configs)):
+            if i % workers not in own:
+                continue
             try:
                 outcomes[i] = _train_checkpoint(
                     run_dir, corpus, configs[i], f"ensemble_{i:02d}", None
@@ -538,29 +542,37 @@ def _train_members(run_dir: Path, corpus: spectro.LabeledCorpus, configs: list) 
                 break
         return outcomes
 
+    def first_failure(outcomes: dict) -> int:
+        return min((i for i, o in outcomes.items() if isinstance(o, Exception)),
+                   default=len(configs))
+
+    own = {0}
     children = []  # (pid, worker, read end of its pipe), until reaped
     try:
         for worker in range(1, workers):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
+            except OSError:  # no process to spare (EAGAIN): train the rest here
                 os.close(read_fd)
                 os.close(write_fd)
-                raise
+                own.update(range(worker, workers))
+                break
             if pid == 0:  # the child never returns from this block
                 status = 1
                 try:
                     os.close(read_fd)
                     with open(write_fd, "wb") as pipe:
-                        pickle.dump(share(worker), pipe)
+                        pickle.dump(share({worker}), pipe)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
             children.append((pid, worker, read_fd))
-        outcomes = share(0)
-        while children:
+        outcomes = share(own)
+        # A child's lowest member is its worker index: once a failure lies
+        # below it, that child and later ones are killed by the finally.
+        while children and first_failure(outcomes) > children[0][1]:
             pid, worker, read_fd = children[0]
             sent = b"".join(iter(lambda: os.read(read_fd, 1 << 16), b""))
             _, wait_status = os.waitpid(pid, 0)
@@ -582,9 +594,9 @@ def _train_members(run_dir: Path, corpus: spectro.LabeledCorpus, configs: list) 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read_fd)
-    for i in range(len(configs)):
-        if isinstance(outcomes[i], Exception):
-            raise outcomes[i]
+    failed = first_failure(outcomes)
+    if failed < len(configs):
+        raise outcomes[failed]
     return [outcomes[i] for i in range(len(configs))]
 
 

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -791,6 +792,65 @@ class TestStageErrors:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "stage_error", "message": "ensemble_01 failed",
                        "member": "ensemble_01"}
+
+    def test_workers_fork_only_under_one_blas_thread(self, monkeypatch):
+        # Processes of several BLAS threads each would oversubscribe the
+        # cores, so any thread count above one trains serially.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        for threads, members, workers in (("1", 10, 4), ("1", 3, 3), ("2", 10, 1), ("4", 10, 1)):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            assert cli._member_workers(members) == workers
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert cli._member_workers(10) == 1  # OpenBLAS's default: a thread per core
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert cli._member_workers(10) == 4
+
+    def test_failed_first_member_kills_workers_at_once(self, tmp_path, capsys, monkeypatch):
+        # Member 0 fails in this process: no forked member can fail lower,
+        # so the worker training member 1 for a minute is not waited for.
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
+        force_member_workers(monkeypatch, 2)
+
+        def fails_first(run_dir, corpus, config, name, sim_map):
+            if name == "ensemble_00":
+                raise cli.StageError("ensemble_00 failed", member=name)
+            time.sleep(60)
+            return None, f"checkpoints/{name}.gnssnet"
+
+        monkeypatch.setattr(cli, "_train_checkpoint", fails_first)
+        cfg = quick_config_file(tmp_path)
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        argv = ["ensemble", "--run", str(tmp_path), "--config", str(cfg), "--members", "2"]
+        assert cli.main(argv) == 1
+        assert time.perf_counter() - t0 < 30
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "stage_error", "message": "ensemble_00 failed",
+                       "member": "ensemble_00"}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_trains_every_member_here(self, tmp_path, monkeypatch):
+        # A fork refused for want of processes (EAGAIN) leaves that worker's
+        # share to this process; the members are those of a serial run.
+        assert cli.main(["gen-data", "--out", str(tmp_path / "one"), "--counts", TINY_COUNTS]) == 0
+        shutil.copytree(tmp_path / "one", tmp_path / "two")
+        cfg = quick_config_file(tmp_path)
+
+        def no_process(*_):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        artifacts = {}
+        for workers, run in ((1, tmp_path / "one"), (2, tmp_path / "two")):
+            force_member_workers(monkeypatch, workers)
+            argv = ["ensemble", "--run", str(run), "--config", str(cfg), "--members", "3"]
+            assert cli.main(argv) == 0
+            artifacts[workers] = cli._find_stage(run, "ensemble")["artifacts"]
+        assert artifacts[1] == artifacts[2] and len(artifacts[1]) == 3
+        for rel in artifacts[1].values():
+            assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "two" / rel).read_bytes()
 
     def test_interrupted_parent_kills_and_reaps_workers(self, tmp_path, monkeypatch):
         # This process's first member is interrupted while the forked worker
