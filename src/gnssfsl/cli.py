@@ -147,11 +147,11 @@ def _jammer_spec(label: int, rng: np.random.Generator, fs: float, duration_ms: f
     return siggen.JammerSpec(kind=kind, jnr_db=jnr_db, seed=seed, **kwargs)
 
 
-def class_counts(profile: str, total: int | None = None) -> dict:
-    """Scale the field-study class frequencies to the requested corpus size."""
-    if profile == "paper" and total is None:
+def class_counts(profile: str) -> dict:
+    """The field-study class frequencies, scaled to the profile's corpus size."""
+    total = PROFILES[profile]["total"]
+    if total is None:
         return dict(CLASS_COUNTS_FULL)
-    total = total if total is not None else PROFILES[profile]["total"]
     grand = sum(CLASS_COUNTS_FULL.values())
     return {
         c: max(MIN_CLASS_COUNT, round(total * n / grand))
@@ -205,22 +205,20 @@ def generate_corpus(
     out_dir: str | Path,
     profile: str = "desk",
     seed: int = 42,
-    total: int | None = None,
-    image_size: int | None = None,
     counts: dict | None = None,
 ) -> spectro.LabeledCorpus:
     """Write the corpus's image block and manifest.json; deterministic per seed."""
     if profile not in PROFILES:
         raise StageError(f"unknown profile {profile!r}", profile=profile)
-    for name, value in (("image_size", image_size), ("total", total)):
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
     prof = PROFILES[profile]
-    image_size = image_size if image_size is not None else prof["image_size"]
+    image_size = prof["image_size"]
     if counts is None:
-        counts = class_counts(profile, total)
+        counts = class_counts(profile)
     elif not counts:
         raise ValueError("counts must name at least one class, got none")
+    unknown = sorted(c for c in counts if c not in CLASS_COUNTS_FULL)
+    if unknown:
+        raise ValueError(f"counts name class ids outside 0-{max(CLASS_COUNTS_FULL)}: {unknown}")
     bad = [c for c, n in counts.items() if n < MIN_CLASS_COUNT]
     if bad:
         raise StageError(
@@ -438,8 +436,6 @@ def cmd_gen_data(args) -> None:
         run_dir / "corpus",
         profile=args.profile,
         seed=args.seed,
-        total=args.total,
-        image_size=args.image_size,
         counts=_parse_counts(args.counts) if args.counts is not None else None,
     )
     _append_stage(
@@ -827,8 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--profile", choices=sorted(PROFILES), default="desk")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--total", type=int, help="approximate corpus size (desk profile)")
-    p.add_argument("--image-size", type=int, dest="image_size")
     p.add_argument("--counts", help="JSON object {class: count} overriding the profile")
     p.set_defaults(func=cmd_gen_data)
 

@@ -34,7 +34,7 @@ from .uncertainty import UncertaintyReport
 from .uncertainty import predict_member  # noqa: F401  (re-export; perfbench/test_tracer.py uses it)
 
 SPLITS = ("train", "val", "test")
-DEFAULT_SPLIT_FRACTIONS = (0.64, 0.16, 0.20)
+SPLIT_FRACTIONS = (0.64, 0.16, 0.20)  # of each class, in SPLITS order
 DEFAULT_ADAPTATION_CLASSES = (3, 7, 9, 10)
 
 
@@ -52,38 +52,28 @@ class TrainingDiverged(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _allocate(count: int, fractions) -> list[int]:
+def _allocate(count: int) -> list[int]:
     """Largest-remainder split sizes; tiny classes fall back to train(+test)."""
-    k = len(fractions)
+    k = len(SPLIT_FRACTIONS)
     if count < k:
-        out = [0] * k
-        if count == 1 or fractions[-1] == 0:
-            out[0] = count
-        else:
-            out[0] = count - 1
-            out[-1] = 1
-        return out
-    exact = [count * f for f in fractions]
+        return [1, 0, count - 1]
+    exact = [count * f for f in SPLIT_FRACTIONS]
     base = [int(np.floor(e)) for e in exact]
     rem = count - sum(base)
     order = sorted(range(k), key=lambda i: (-(exact[i] - base[i]), i))
     for i in order[:rem]:
         base[i] += 1
-    # Guarantee one sample per requested split when the class is big enough.
+    # Guarantee one sample per split when the class is big enough.
     for i in range(k):
-        if fractions[i] > 0 and base[i] == 0:
+        if base[i] == 0:
             donor = int(np.argmax(base))
             base[donor] -= 1
             base[i] += 1
     return base
 
 
-def split_corpus(corpus: LabeledCorpus, fractions=DEFAULT_SPLIT_FRACTIONS, seed: int = 0) -> LabeledCorpus:
+def split_corpus(corpus: LabeledCorpus, seed: int = 0) -> LabeledCorpus:
     """Stratified per-class train/val/test tagging, deterministic per seed."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
-    if len(fractions) != 3:
-        raise ValueError("expected (train, val, test) fractions")
     rng = np.random.default_rng(seed)
     by_class = _class_index(corpus)
     assignment = [""] * len(corpus.records)
@@ -91,7 +81,7 @@ def split_corpus(corpus: LabeledCorpus, fractions=DEFAULT_SPLIT_FRACTIONS, seed:
         idx = np.array(by_class[label])
         perm = rng.permutation(len(idx))
         idx = idx[perm]
-        counts = _allocate(len(idx), fractions)
+        counts = _allocate(len(idx))
         start = 0
         for split, c in zip(SPLITS, counts):
             for j in idx[start : start + c]:
@@ -481,6 +471,13 @@ class TrainConfig:
         for name in _STEP_COUNTS:
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name!r} must be >= 1, got {getattr(self, name)}")
+        classes = self.adaptation_classes
+        if not classes or len(set(classes)) != len(classes):
+            # The adaptation scores are macro means over these classes.
+            raise ValueError(
+                f"config field 'adaptation_classes' must name at least one class, "
+                f"each once, got {list(classes)}"
+            )
 
     def to_dict(self) -> dict:
         """The config's JSON object, keys sorted, the pair weight named "lambda"."""

@@ -171,7 +171,6 @@ def _conditional_probs(sq_dists: np.ndarray, perplexity: float, tol: float = 1e-
 
 @dataclass
 class TsneResult:
-    points: np.ndarray  # n x 2
     kl_divergences: list  # one entry per iteration
 
 
@@ -309,7 +308,7 @@ def tsne(
         y -= y.mean(axis=0)
 
     if return_info:
-        return y, TsneResult(y, kl_log)
+        return y, TsneResult(kl_log)
     return y
 
 

@@ -29,15 +29,6 @@ _BLOCK_HEADER = struct.Struct("<8sIII")  # magic, n, h, w
 
 
 @dataclass
-class SpectrogramDb:
-    """Log-magnitude spectrogram, freq bins x time frames, peak-normalized."""
-
-    grid: np.ndarray  # float64, entries in [DB_FLOOR, 0]
-    freq_axis_hz: np.ndarray
-    time_axis_ms: np.ndarray
-
-
-@dataclass
 class SpectrogramImage:
     pixels: np.ndarray  # uint8, h x w
 
@@ -57,30 +48,26 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 # Plans are keyed on geometry, and a process sees a handful of geometries
 # (one per profile); the bound only stops a geometry sweep from growing them.
 @functools.lru_cache(maxsize=8)
-def _stft_plan(n: int, window_len: int, hop: int, sample_rate_hz: float) -> tuple[np.ndarray, ...]:
-    """Read-only (window, frame index, fftshift permutation, freq axis, time
-    axis) for one STFT geometry."""
+def _stft_plan(n: int, window_len: int, hop: int) -> tuple[np.ndarray, ...]:
+    """Read-only (window, frame index, fftshift permutation) for one STFT
+    geometry."""
     frames = (n - window_len) // hop + 1
     window = np.hanning(window_len)
     frame_index = np.arange(window_len)[None, :] + hop * np.arange(frames)[:, None]
     shift = np.fft.fftshift(np.arange(window_len))  # x[shift] == fftshift(x)
-    freq_axis = np.fft.fftshift(np.fft.fftfreq(window_len, d=1.0 / sample_rate_hz))
-    frame_centers = (hop * np.arange(frames) + window_len / 2.0) / sample_rate_hz
-    return _read_only(window, frame_index, shift, freq_axis, frame_centers * 1000.0)
+    return _read_only(window, frame_index, shift)
 
 
-def stft_magnitude(snapshot: IQSnapshot, window_len: int, hop: int) -> SpectrogramDb:
-    """Hann-windowed, fft-shifted magnitude STFT in dB relative to the peak.
-    The returned axes are shared, read-only arrays."""
+def stft_magnitude(snapshot: IQSnapshot, window_len: int, hop: int) -> np.ndarray:
+    """Hann-windowed, fft-shifted magnitude STFT in dB relative to the peak:
+    a float64 grid of freq bins x time frames, entries in [DB_FLOOR, 0]."""
     n = snapshot.num_samples
     if not (0 < hop <= window_len <= n):
         raise ValueError(
             f"need 0 < hop <= window_len <= samples, got hop={hop} "
             f"window={window_len} samples={n}"
         )
-    window, frame_index, shift, freq_axis, time_axis = _stft_plan(
-        n, window_len, hop, snapshot.sample_rate_hz
-    )
+    window, frame_index, shift = _stft_plan(n, window_len, hop)
     x = snapshot.samples.astype(np.complex128)
     spectra = np.fft.fft(x[frame_index] * window, axis=1)
     grid = np.abs(spectra).T[shift]  # freq_bins x frames, C-ordered
@@ -94,7 +81,7 @@ def stft_magnitude(snapshot: IQSnapshot, window_len: int, hop: int) -> Spectrogr
             np.log10(grid, out=grid)
         np.multiply(grid, 20.0, out=grid)
         np.maximum(grid, DB_FLOOR, out=grid)
-    return SpectrogramDb(grid, freq_axis, time_axis)
+    return grid
 
 
 def _round_half_up(x: np.ndarray) -> np.ndarray:
@@ -103,9 +90,8 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x, out=x)
 
 
-def quantize(db: SpectrogramDb) -> SpectrogramImage:
+def quantize(grid: np.ndarray) -> SpectrogramImage:
     """Map dB values in [-90, 0] to u8 pixels; -90 -> 0, 0 -> 255, half rounds up."""
-    grid = db.grid
     if grid.min() < DB_FLOOR or grid.max() > 0.0:
         raise ValueError(
             f"dB grid outside [{DB_FLOOR}, 0]: min={grid.min()} max={grid.max()}"
@@ -240,7 +226,7 @@ def save_manifest(corpus: LabeledCorpus, path: str | Path) -> None:
     Path(path).write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
 
 
-def load_corpus(manifest_path: str | Path, load_images: bool = True) -> LabeledCorpus:
+def load_corpus(manifest_path: str | Path) -> LabeledCorpus:
     """Validate every manifest entry, then read the image block next to the
     manifest in one call; record i holds a read-only view of row i."""
     manifest_path = Path(manifest_path)
@@ -262,14 +248,13 @@ def load_corpus(manifest_path: str | Path, load_images: bool = True) -> LabeledC
         records.append(
             CorpusRecord(e["file"], e["label"], e["split"], e["seed"], e.get("jammer_params", {}))
         )
-    if load_images:
-        block_path = manifest_path.parent / BLOCK_FILE
-        block = read_image(block_path)
-        if len(block) != len(records):
-            raise ValueError(
-                f"{block_path}: image block has {len(block)} rows, "
-                f"manifest has {len(records)} entries"
-            )
-        for rec, pixels in zip(records, block):
-            rec.image = SpectrogramImage(pixels)
+    block_path = manifest_path.parent / BLOCK_FILE
+    block = read_image(block_path)
+    if len(block) != len(records):
+        raise ValueError(
+            f"{block_path}: image block has {len(block)} rows, "
+            f"manifest has {len(records)} entries"
+        )
+    for rec, pixels in zip(records, block):
+        rec.image = SpectrogramImage(pixels)
     return LabeledCorpus(records)

@@ -1,20 +1,20 @@
 """Reference spectrogram front end, kept as a bit-exactness oracle.
 
 `ref_stft_magnitude`, `ref_quantize` and `ref_resize` are the straightforward
-versions: every call builds its Hann window, frame index and axes, shifts the
+versions: every call builds its Hann window and frame index, shifts the
 complex spectrum with `np.fft.fftshift`, and casts the whole source image to
 float64 before the bilinear gathers. `spectro.stft_magnitude`, `quantize` and
-`resize` must return the same grids, axes and pixels (array_equal), not just
+`resize` must return the same grids and pixels (array_equal), not just
 agree to rounding.
 """
 
 import numpy as np
 
 from gnssfsl.siggen import IQSnapshot
-from gnssfsl.spectro import DB_FLOOR, SpectrogramDb, SpectrogramImage
+from gnssfsl.spectro import DB_FLOOR, SpectrogramImage
 
 
-def ref_stft_magnitude(snapshot: IQSnapshot, window_len: int, hop: int) -> SpectrogramDb:
+def ref_stft_magnitude(snapshot: IQSnapshot, window_len: int, hop: int) -> np.ndarray:
     n = snapshot.num_samples
     if not (0 < hop <= window_len <= n):
         raise ValueError(
@@ -37,18 +37,14 @@ def ref_stft_magnitude(snapshot: IQSnapshot, window_len: int, hop: int) -> Spect
         with np.errstate(divide="ignore"):
             grid = 20.0 * np.log10(mag / peak)
         grid = np.maximum(grid, DB_FLOOR)
-
-    freq_axis = np.fft.fftshift(np.fft.fftfreq(window_len, d=1.0 / snapshot.sample_rate_hz))
-    frame_centers = (hop * np.arange(frames) + window_len / 2.0) / snapshot.sample_rate_hz
-    return SpectrogramDb(grid, freq_axis, frame_centers * 1000.0)
+    return grid
 
 
 def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5)
 
 
-def ref_quantize(db: SpectrogramDb) -> SpectrogramImage:
-    grid = db.grid
+def ref_quantize(grid: np.ndarray) -> SpectrogramImage:
     if grid.min() < DB_FLOOR or grid.max() > 0.0:
         raise ValueError(
             f"dB grid outside [{DB_FLOOR}, 0]: min={grid.min()} max={grid.max()}"

@@ -80,7 +80,7 @@ class TestReadme:
 
 # Each subcommand's option strings: a flag that no stage reads has no place here.
 STAGE_OPTIONS = {
-    "gen-data": ["--counts", "--image-size", "--out", "--profile", "--seed", "--total"],
+    "gen-data": ["--counts", "--out", "--profile", "--seed"],
     "train": ["--config", "--name", "--run"],
     "ensemble": ["--config", "--members", "--run"],
     "mine": ["--quantile", "--run"],
@@ -119,7 +119,7 @@ class TestFlagSurface:
 
 class TestClassCounts:
     def test_desk_profile_floors_rare_classes(self):
-        counts = class_counts("desk", total=2000)
+        counts = class_counts("desk")
         assert counts[6] == 8  # rarest class floored to the minimum
         for c in (3, 4, 5, 7, 8, 9, 10):
             assert counts[c] == 8
@@ -130,8 +130,9 @@ class TestClassCounts:
         assert counts[1] == 132974
         assert counts[6] == 9
 
-    def test_total_scales_corpus(self):
-        counts = class_counts("desk", total=4000)
+    def test_total_scales_corpus(self, monkeypatch):
+        monkeypatch.setitem(cli.PROFILES["desk"], "total", 4000)
+        counts = class_counts("desk")
         assert 2600 < counts[1] < 2800  # ~67% share of the field distribution
         assert counts[6] == 8
 
@@ -234,7 +235,7 @@ class TestGenData:
 
     def test_empty_counts_rejected(self, tmp_path, capsys):
         # An empty object used to fall back to the profile's counts.
-        rc = cli.main(["gen-data", "--out", str(tmp_path), "--total", "100", "--counts", "{}"])
+        rc = cli.main(["gen-data", "--out", str(tmp_path), "--counts", "{}"])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
@@ -243,23 +244,20 @@ class TestGenData:
         with pytest.raises(ValueError, match="counts"):
             cli.generate_corpus(tmp_path, counts={})
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--image-size", "0"), ("--image-size", "-3"), ("--total", "0"), ("--total", "-50")],
-    )
-    def test_size_below_one_rejected(self, tmp_path, capsys, flag, value):
-        rc = cli.main(["gen-data", "--out", str(tmp_path), flag, value])
+    def test_class_id_outside_range_rejected(self, tmp_path, capsys):
+        # Refused before any class is synthesized or any directory made.
+        out = tmp_path / "run"
+        rc = cli.main(["gen-data", "--out", str(out), "--counts", '{"0": 8, "11": 8, "12": 8}'])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
-        assert flag[2:].replace("-", "_") in err["message"]
-        assert not (tmp_path / "corpus").exists()
+        assert "outside 0-10: [11, 12]" in err["message"]
+        assert not out.exists()
+        with pytest.raises(ValueError, match=r"outside 0-10: \[-1\]"):
+            cli.generate_corpus(out, counts={-1: 8, 0: 8})
+        assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--counts", '{"0": 100000000000}'), ("--total", "1000000000000"),
-         ("--image-size", "1000000")],
-    )
+    @pytest.mark.parametrize("flag, value", [("--counts", '{"0": 100000000000}')])
     def test_corpus_larger_than_memory_rejected(self, tmp_path, capsys, flag, value):
         # Refused before numpy is asked for the image block.
         rc = cli.main(["gen-data", "--out", str(tmp_path), flag, value])
@@ -454,8 +452,10 @@ class TestStageErrors:
         [
             ('{"lambda": 2, "pair_weight": 3}', "unknown config keys: ['pair_weight']"),
             ('{"loss": "contrastive"}', "unknown loss 'contrastive'"),
+            ('{"adaptation_classes": []}', "'adaptation_classes' must name at least one class"),
+            ('{"adaptation_classes": [3, 3, 7]}', "each once, got [3, 3, 7]"),
         ],
-        ids=["two-pair-weights", "contrastive"],
+        ids=["two-pair-weights", "contrastive", "no-adaptation-class", "repeated-adaptation-class"],
     )
     def test_rejected_config_exits_with_json_error(self, tmp_path, capsys, text, match):
         cfg = tmp_path / "config.json"

@@ -21,7 +21,7 @@ FILES = [
     (lambda d, text: fsl.TrainConfig.from_json(text), "config"),
     (lambda d, text: fsl.SimilarityMap.from_json(text), "similarity map"),
     (
-        lambda d, text: spectro.load_corpus(_file(d / "manifest.json", text), load_images=False),
+        lambda d, text: spectro.load_corpus(_file(d / "manifest.json", text)),
         "manifest.json: corpus manifest",
     ),
     (

@@ -14,7 +14,6 @@ from gnssfsl import cli, spectro
 from gnssfsl.siggen import BackgroundLevel, BackgroundSpec, IQSnapshot, gen_background
 from gnssfsl.spectro import (
     DB_FLOOR,
-    SpectrogramDb,
     SpectrogramImage,
     decode_block,
     load_corpus,
@@ -36,27 +35,29 @@ def _tone_snapshot(freq_hz=100_000.0, n=2000, fs=1e6):
 class TestStft:
     def test_all_zero_snapshot_hits_floor(self):
         snap = IQSnapshot(np.zeros(1000, dtype=np.complex64), 1e6, 1.0)
-        db = stft_magnitude(snap, 256, 64)
-        assert np.all(db.grid == -90.0)
+        grid = stft_magnitude(snap, 256, 64)
+        assert np.all(grid == -90.0)
 
     def test_pure_tone_row(self):
         freq = 100_000.0
         snap = _tone_snapshot(freq)
-        db = stft_magnitude(snap, 256, 64)
-        expected_bin = int(np.argmin(np.abs(db.freq_axis_hz - freq)))
-        per_frame_argmax = db.grid.argmax(axis=0)
+        grid = stft_magnitude(snap, 256, 64)
+        # Row r of the grid is frequency fftshift(fftfreq(window, 1/fs))[r].
+        freq_axis_hz = np.fft.fftshift(np.fft.fftfreq(256, d=1.0 / snap.sample_rate_hz))
+        expected_bin = int(np.argmin(np.abs(freq_axis_hz - freq)))
+        per_frame_argmax = grid.argmax(axis=0)
         assert np.all(per_frame_argmax == expected_bin)
 
     def test_global_max_is_zero_db(self):
         bg = gen_background(BackgroundSpec(BackgroundLevel.MEDIUM, seed=1), 2.0, 1e6)
-        db = stft_magnitude(bg, 256, 64)
-        assert db.grid.max() == 0.0
-        assert db.grid.min() >= -90.0
+        grid = stft_magnitude(bg, 256, 64)
+        assert grid.max() == 0.0
+        assert grid.min() >= -90.0
 
     def test_frame_count_formula(self):
         snap = _tone_snapshot(n=2000)
-        db = stft_magnitude(snap, 256, 64)
-        assert db.grid.shape == (256, (2000 - 256) // 64 + 1)
+        grid = stft_magnitude(snap, 256, 64)
+        assert grid.shape == (256, (2000 - 256) // 64 + 1)
 
     @given(
         n=st.integers(min_value=64, max_value=1024),
@@ -70,8 +71,8 @@ class TestStft:
         snap = IQSnapshot(
             np.ones(n, dtype=np.complex64), 1e6, n / 1e6 * 1000.0
         )
-        db = stft_magnitude(snap, window, hop)
-        assert db.grid.shape[1] == (n - window) // hop + 1
+        grid = stft_magnitude(snap, window, hop)
+        assert grid.shape[1] == (n - window) // hop + 1
 
     def test_window_hop_validation(self):
         snap = _tone_snapshot(n=500)
@@ -85,8 +86,7 @@ class TestStft:
 
 class TestQuantize:
     def _db(self, values):
-        grid = np.asarray(values, dtype=np.float64)
-        return SpectrogramDb(grid, np.zeros(grid.shape[0]), np.zeros(grid.shape[1]))
+        return np.asarray(values, dtype=np.float64)
 
     def test_endpoints_and_midpoint(self):
         img = quantize(self._db([[-90.0, 0.0, -45.0]]))
@@ -109,11 +109,11 @@ class TestQuantize:
     @given(st.lists(st.floats(min_value=-90.0, max_value=0.0), min_size=1, max_size=32))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_error_bound(self, values):
-        db = self._db([values])
-        img = quantize(db)
+        grid = self._db([values])
+        img = quantize(grid)
         back = img.pixels.astype(np.float64) * (-DB_FLOOR / 255.0) + DB_FLOOR
         half_step = 90.0 / 255.0 / 2.0
-        assert np.max(np.abs(back - db.grid)) <= half_step + 1e-9
+        assert np.max(np.abs(back - grid)) <= half_step + 1e-9
 
 
 class TestResize:
@@ -138,10 +138,8 @@ class TestResize:
             resize(img, 0, 4)
 
 
-def _assert_same_db(db, ref):
-    for name in ("grid", "freq_axis_hz", "time_axis_ms"):
-        a, b = getattr(db, name), getattr(ref, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+def _assert_same_db(grid, ref):
+    assert grid.dtype == ref.dtype and np.array_equal(grid, ref)
 
 
 def _assert_same_image(img, ref):
@@ -157,7 +155,7 @@ def _noise_snapshot(n, fs, seed):
 
 class TestMatchesReference:
     """stft_magnitude, quantize and resize against tests/spectro_reference.py:
-    grids, axes and pixels must be array_equal, not just close."""
+    grids and pixels must be array_equal, not just close."""
 
     @pytest.mark.parametrize("seed", [5, 7301])
     def test_every_desk_record(self, tmp_path, monkeypatch, seed):
@@ -240,10 +238,7 @@ class TestMatchesReference:
     def test_writing_outputs_cannot_change_next_call(self):
         snap = _tone_snapshot()
         db = stft_magnitude(snap, 256, 64)
-        for axis in (db.freq_axis_hz, db.time_axis_ms):
-            with pytest.raises(ValueError):
-                axis[0] = 1.0
-        db.grid[:] = DB_FLOOR
+        db[:] = DB_FLOOR
         img = quantize(stft_magnitude(snap, 256, 64))
         img.pixels[:] = 7
         small = resize(img, 32, 32)
@@ -402,7 +397,7 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="manifest"):
-            load_corpus(path, load_images=False)
+            load_corpus(path)
 
     @given(
         doc=st.one_of(
@@ -412,14 +407,22 @@ class TestManifest:
     )
     @settings(max_examples=300, deadline=None)
     def test_load_corpus_fuzz_raises_only_value_error(self, doc):
+        # Beside the manifest, a block whose row i is all i: one row per entry
+        # of a non-empty list, one row otherwise.
+        rows = len(doc) if isinstance(doc, list) and doc else 1
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "manifest.json"
             path.write_text(json.dumps(doc))
+            block = np.repeat(np.arange(rows, dtype=np.uint8), 4).reshape(rows, 2, 2)
+            write_image(block, Path(d) / spectro.BLOCK_FILE)
             try:
-                corpus = load_corpus(path, load_images=False)
+                corpus = load_corpus(path)
             except ValueError:
                 return
         assert [r.to_manifest() for r in corpus.records] == [
             {"jammer_params": {}, **e} for e in doc
+        ]
+        assert [r.image.pixels.tolist() for r in corpus.records] == [
+            [[i, i], [i, i]] for i in range(len(doc))
         ]
 
