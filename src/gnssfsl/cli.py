@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import mmap
 import os
 import pickle
 import signal
@@ -229,39 +230,44 @@ def generate_corpus(
     n = sum(counts.values())
     if n * image_size**2 > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise ValueError(f"{n} images of {image_size}x{image_size} pixels do not fit in memory")
-    block = np.empty((n, image_size, image_size), dtype=np.uint8)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    labels = [label for label in sorted(counts) for _ in range(counts[label])]
+    # A shared mapping, so records synthesized by forked workers land in this
+    # process's block and only their params go through the pipe.
+    block = np.frombuffer(mmap.mmap(-1, n * image_size**2), dtype=np.uint8)
+    block = block.reshape(n, image_size, image_size)
+
+    def synthesize(record_index: int) -> dict:
+        img, params = synthesize_record(
+            labels[record_index],
+            siggen.derive_seed(seed, record_index),
+            prof["duration_ms"],
+            prof["sample_rate_hz"],
+            prof["window"],
+            prof["hop"],
+            image_size,
+        )
+        block[record_index] = img.pixels
+        return params
+
+    params = _fork_map(synthesize, n, "gen-data")
+    # Freeze before taking the row views: a view made earlier stays writable.
+    block.flags.writeable = False
     records = []
-    record_index = 0
     for label in sorted(counts):
         for i in range(counts[label]):
-            record_seed = siggen.derive_seed(seed, record_index)
-            img, params = synthesize_record(
-                label,
-                record_seed,
-                prof["duration_ms"],
-                prof["sample_rate_hz"],
-                prof["window"],
-                prof["hop"],
-                image_size,
-            )
-            block[record_index] = img.pixels
-            rec = spectro.CorpusRecord(
+            record_index = len(records)
+            records.append(spectro.CorpusRecord(
                 file=f"cls{label:02d}_{i:05d}.img",
                 label=label,
                 split="",
-                seed=record_seed,
-                jammer_params=params,
-            )
-            records.append(rec)
-            record_index += 1
-
-    # Freeze before taking the row views: a view made earlier stays writable.
-    block.flags.writeable = False
-    for rec, pixels in zip(records, block):
-        rec.image = spectro.SpectrogramImage(pixels)
+                seed=siggen.derive_seed(seed, record_index),
+                jammer_params=params[record_index],
+                image=spectro.SpectrogramImage(block[record_index]),
+            ))
     corpus = fsl.split_corpus(spectro.LabeledCorpus(records), seed=seed)
+    # Created only now, so a failed synthesis leaves no empty corpus directory.
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     spectro.write_image(block, out_dir / spectro.BLOCK_FILE)
     spectro.save_manifest(corpus, out_dir / "manifest.json")
     return corpus
@@ -475,6 +481,8 @@ def cmd_train(args) -> None:
         path = _require(run_dir / "similarity_map.json", "similarity map (run mine first)")
         sim_map = SimilarityMap.load(path)
     corpus = _load_run_corpus(run_dir)
+    # Refuse, before training, a support set that adapt and eval would refuse.
+    fsl.adaptation_support(corpus, config.adaptation_classes, config.k_shot)
     result, ckpt = _train_checkpoint(run_dir, corpus, config, name, sim_map)
     with open(_subdir(run_dir, "reports") / f"train_{name}.csv", "w", newline="") as fh:
         fh.write("epoch,loss\n")
@@ -490,12 +498,12 @@ def cmd_train(args) -> None:
     print(f"checkpoint written to {run_dir / ckpt}")
 
 
-def _member_workers(members: int) -> int:
-    """Processes that train `members` ensemble members: one per usable core when
-    BLAS runs one thread, else one, since processes of several BLAS threads
-    each oversubscribe the cores; one also where the process cannot fork
-    safely. BLAS threads are OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, else
-    the core count, as OpenBLAS itself reads them."""
+def _fork_workers(items: int) -> int:
+    """Processes that run a stage's `items` independent tasks: one per usable
+    core when BLAS runs one thread, else one, since processes of several BLAS
+    threads each oversubscribe the cores; one also where the process cannot
+    fork safely. BLAS threads are OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS,
+    else the core count, as OpenBLAS itself reads them."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1:  # a forked child gets only the forking thread
@@ -507,40 +515,36 @@ def _member_workers(members: int) -> int:
         if value.isdecimal() and int(value) > 0:
             threads = int(value)
             break
-    return min(members, cores) if threads == 1 else 1
+    return min(items, cores) if threads == 1 else 1
 
 
-def _train_members(run_dir: Path, corpus: spectro.LabeledCorpus, configs: list) -> list[str]:
-    """Train member i of `configs` as checkpoints/ensemble_<i>.gnssnet; returns
-    the run-relative paths in member order.
+def _fork_map(task, n: int, stage: str) -> list:
+    """[task(i) for i in range(n)], computed on W processes (W from
+    _fork_workers), in order; `stage` names the stage in a lost worker's error.
 
-    Member i goes to worker i mod W (W from _member_workers). This process is
-    worker 0; it forks the others, trains its own share (and the shares of
-    workers it could not fork), then reads each child's outcomes (a path per
-    member, or the exception that ended the child's share) from a pipe. The
-    lowest-index failure is raised; once no child left can fail lower, the
-    rest are killed rather than waited for, and every child is reaped. A
-    child that ends without sending its outcomes fails its members with a
-    StageError giving its exit status."""
-    workers = _member_workers(len(configs))
+    Item i goes to worker i mod W. This process is worker 0; it forks the
+    others, runs its own share (and the shares of workers it could not fork),
+    then reads each child's outcomes (task(i) per item, or the exception that
+    ended the child's share) from a pipe. The lowest-index failure is raised;
+    once no child left can fail lower, the rest are killed rather than waited
+    for, and every child is reaped. A child that ends without sending its
+    outcomes fails its items with a StageError giving its exit status."""
+    workers = _fork_workers(n)
 
     def share(own: set) -> dict:
         outcomes = {}
-        for i in range(len(configs)):
+        for i in range(n):
             if i % workers not in own:
                 continue
             try:
-                outcomes[i] = _train_checkpoint(
-                    run_dir, corpus, configs[i], f"ensemble_{i:02d}", None
-                )[1]
-            except Exception as exc:  # raised by the parent, in member order
+                outcomes[i] = task(i)
+            except Exception as exc:  # raised by the parent, in item order
                 outcomes[i] = exc
                 break
         return outcomes
 
     def first_failure(outcomes: dict) -> int:
-        return min((i for i, o in outcomes.items() if isinstance(o, Exception)),
-                   default=len(configs))
+        return min((i for i, o in outcomes.items() if isinstance(o, Exception)), default=n)
 
     own = {0}
     children = []  # (pid, worker, read end of its pipe), until reaped
@@ -549,7 +553,7 @@ def _train_members(run_dir: Path, corpus: spectro.LabeledCorpus, configs: list) 
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare (EAGAIN): train the rest here
+            except OSError:  # no process to spare (EAGAIN): run the rest here
                 os.close(read_fd)
                 os.close(write_fd)
                 own.update(range(worker, workers))
@@ -566,7 +570,7 @@ def _train_members(run_dir: Path, corpus: spectro.LabeledCorpus, configs: list) 
             os.close(write_fd)
             children.append((pid, worker, read_fd))
         outcomes = share(own)
-        # A child's lowest member is its worker index: once a failure lies
+        # A child's lowest item is its worker index: once a failure lies
         # below it, that child and later ones are killed by the finally.
         while children and first_failure(outcomes) > children[0][1]:
             pid, worker, read_fd = children[0]
@@ -579,21 +583,21 @@ def _train_members(run_dir: Path, corpus: spectro.LabeledCorpus, configs: list) 
                 outcomes.update(pickle.loads(sent))
                 continue
             lost = StageError(
-                f"ensemble worker {worker} ended with exit status {status} "
-                "without sending its members",
+                f"{stage} worker {worker} ended with exit status {status} "
+                "without sending its outcomes",
                 worker=worker,
                 exit_status=status,
             )
-            outcomes.update({i: lost for i in range(worker, len(configs), workers)})
+            outcomes.update({i: lost for i in range(worker, n, workers)})
     finally:
         for pid, _, read_fd in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read_fd)
     failed = first_failure(outcomes)
-    if failed < len(configs):
+    if failed < n:
         raise outcomes[failed]
-    return [outcomes[i] for i in range(len(configs))]
+    return [outcomes[i] for i in range(n)]
 
 
 def cmd_ensemble(args) -> None:
@@ -607,9 +611,13 @@ def cmd_ensemble(args) -> None:
         replace(config, seed=config.seed + i, pretrain="ce", loss="ce")
         for i in range(args.members)
     ]
+
+    def train_member(i: int) -> str:
+        return _train_checkpoint(run_dir, corpus, configs[i], f"ensemble_{i:02d}", None)[1]
+
     paths = {
         f"member_{i:02d}": path
-        for i, path in enumerate(_train_members(run_dir, corpus, configs))
+        for i, path in enumerate(_fork_map(train_member, len(configs), "ensemble"))
     }
     _append_stage(
         run_dir, "ensemble", t0, paths,
@@ -655,7 +663,9 @@ def cmd_mine(args) -> None:
     remap = {c: i for i, c in enumerate(train_classes)}
     images = [r.image.pixels for r in val.records]
     # One forward pass per member; the map and the CSV share its decomposition.
-    member_probs = np.stack([uncertainty.predict_member(m, images) for m in members])
+    member_probs = np.stack(_fork_map(
+        lambda i: uncertainty.predict_member(members[i], images), len(members), "mine"
+    ))
     report = uncertainty.decompose_uncertainty(member_probs)
     sim_map = fsl.build_similarity_map(
         report, [remap[r.label] for r in val.records], quantile=args.quantile

@@ -671,10 +671,14 @@ def base_support(corpus: LabeledCorpus, classes, per_class: int = 20) -> dict:
 
 
 def adaptation_support(corpus: LabeledCorpus, classes, k: int) -> dict:
-    """First-k train-split images per adaptation class (the few-shot budget)."""
+    """First-k train-split images per adaptation class (the few-shot budget);
+    ValueError unless every class has k."""
     sub = corpus.subset(split="train", classes=set(classes))
     by_class = _class_index(sub)
     missing = set(classes) - set(by_class)
     if missing:
         raise ValueError(f"no train samples for adaptation classes {sorted(missing)}")
+    for c, idx in sorted(by_class.items()):
+        if len(idx) < k:
+            raise ValueError(f"class {c} has {len(idx)} samples, k={k} requested")
     return {c: [sub.records[i].image.pixels for i in idx[:k]] for c, idx in sorted(by_class.items())}

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,14 @@ def central_diff(f, x, eps=1e-4):
         xf[i] = orig
         flat[i] = (fp - fm) / (2.0 * eps)
     return grad
+
+
+def force_member_workers(monkeypatch, workers: int) -> None:
+    """Make the stages that fork (gen-data, ensemble, mine) run on `workers`
+    (1 or 2) processes: two usable cores, with two BLAS threads for one worker
+    and one thread for two."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(2 // workers))
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import force_member_workers
 from jsonfuzz import json_values
-from gnssfsl import cli, fsl, nncore, spectro, uncertainty
+from gnssfsl import cli, fsl, nncore, siggen, spectro, uncertainty
 from gnssfsl.cli import class_counts, identity_hash
 from gnssfsl.spectro import load_corpus
 
@@ -48,13 +49,6 @@ def quick_config_file(tmp_path: Path, **overrides) -> Path:
     path = tmp_path / f"config_{overrides.get('loss', 'ce')}.json"
     path.write_text(cfg.to_json())
     return path
-
-
-def force_member_workers(monkeypatch, workers: int) -> None:
-    """Make `ensemble` train on `workers` (1 or 2) processes: two usable cores,
-    with two BLAS threads for one worker and one thread for two."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(2 // workers))
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -219,6 +213,43 @@ class TestGenData:
             with pytest.raises(ValueError):
                 r.image.pixels[0, 0] = 0
 
+    def test_forked_records_are_byte_identical_to_serial(self, tmp_path, monkeypatch):
+        # Record i depends only on the seed and i, so the process that
+        # synthesizes it does not change the corpus bytes.
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        for workers in (1, 2):
+            force_member_workers(monkeypatch, workers)
+            argv = ["gen-data", "--out", str(tmp_path / f"w{workers}"), "--counts", TINY_COUNTS]
+            assert cli.main(argv) == 0
+        assert forks == [1]
+        for name in ("images.img", "manifest.json"):
+            assert (tmp_path / "w1" / "corpus" / name).read_bytes() == (
+                tmp_path / "w2" / "corpus" / name
+            ).read_bytes()
+
+    def test_lost_worker_leaves_no_corpus_directory(self, tmp_path, capsys, monkeypatch):
+        # The forked worker synthesizes the odd records and dies on its first.
+        force_member_workers(monkeypatch, 2)
+        real, parent = cli.synthesize_record, os.getpid()
+        odd = {siggen.derive_seed(42, i) for i in range(1, 88, 2)}
+
+        def dies_on_odd_record(label, record_seed, *args):
+            if record_seed in odd:
+                assert os.getpid() != parent, "an odd record synthesized in the test process"
+                os._exit(3)
+            return real(label, record_seed, *args)
+
+        monkeypatch.setattr(cli, "synthesize_record", dies_on_odd_record)
+        capsys.readouterr()
+        assert cli.main(["gen-data", "--out", str(tmp_path / "run"), "--counts", TINY_COUNTS]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "stage_error"
+        assert err["exit_status"] == 3 and err["worker"] == 1
+        assert not (tmp_path / "run" / "corpus").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_count_below_minimum_rejected(self, tmp_path, capsys):
         rc = cli.main(
             [
@@ -371,6 +402,7 @@ class TestPipeline:
 
         monkeypatch.setattr(uncertainty, "predict_member", counting)
         monkeypatch.setattr(fsl, "predict_member", counting)
+        force_member_workers(monkeypatch, 1)  # a forked worker's calls are not counted here
         assert cli.main(["mine", "--run", str(run)]) == 0
         assert len(calls) == 2 and len(set(calls)) == 2
         assert (run / "similarity_map.json").read_bytes() == before
@@ -432,6 +464,42 @@ class TestStageErrors:
         capsys.readouterr()
         assert stage("adapt", cfg_face, "ce") == 1
         assert "config hash mismatch" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"adaptation_classes": (3, 7, 9, 12)}, "no train samples for adaptation classes [12]"),
+            ({"k_shot": 9}, "class 3 has 5 samples, k=9 requested"),
+        ],
+        ids=["class-not-in-corpus", "k-shot-above-train-records"],
+    )
+    def test_train_refuses_support_that_adapt_refuses(
+        self, tmp_path, capsys, monkeypatch, overrides, match
+    ):
+        # The same config makes adapt and eval exit 1, so train must not
+        # spend a run on a checkpoint they cannot use.
+        counts = json.dumps({str(c): 8 for c in (0, 1, 3, 7, 9, 10)})
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", counts]) == 0
+        cfg = quick_config_file(tmp_path, **overrides)
+        manifest = (tmp_path / "run_manifest.json").read_bytes()
+        trained = []
+        monkeypatch.setattr(fsl, "train", lambda *a, **k: trained.append(1))
+        for stage in ("train", "adapt", "eval"):
+            capsys.readouterr()
+            assert cli.main([stage, "--run", str(tmp_path), "--config", str(cfg)]) == 1, stage
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError", stage
+            assert match in err["message"], stage
+            if stage == "train":
+                # adapt and eval then find no checkpoint; seed one to reach their check.
+                assert trained == []
+                assert not (tmp_path / "checkpoints").exists()
+                assert (tmp_path / "run_manifest.json").read_bytes() == manifest
+                config = fsl.TrainConfig.from_json(cfg.read_text())
+                nncore.save_checkpoint(
+                    nncore.init(config.arch((32, 32)), seed=0),
+                    cli._subdir(tmp_path, "checkpoints") / "ce.gnssnet",
+                )
 
     def test_train_with_computed_map_needs_mined_map(self, tmp_path, capsys, monkeypatch):
         assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
@@ -736,6 +804,22 @@ class TestStageErrors:
         for rel in artifacts[1].values():
             assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "two" / rel).read_bytes()
 
+    def test_forked_mine_is_byte_identical_to_serial(self, pipeline_run, tmp_path, monkeypatch):
+        # Each member's probabilities come back in member order, so the map
+        # and the uncertainty report do not depend on the process that ran it.
+        src, _, _ = pipeline_run
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        for workers in (1, 2):
+            run = tmp_path / f"w{workers}"
+            shutil.copytree(src, run)
+            force_member_workers(monkeypatch, workers)
+            assert cli.main(["mine", "--run", str(run)]) == 0
+        assert forks == [1]
+        for rel in ("similarity_map.json", "reports/uncertainty.csv"):
+            assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes()
+            assert (tmp_path / "w1" / rel).read_bytes() == (src / rel).read_bytes()
+
     def test_single_worker_never_forks(self, tmp_path, monkeypatch):
         assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
         force_member_workers(monkeypatch, 1)
@@ -800,11 +884,11 @@ class TestStageErrors:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         for threads, members, workers in (("1", 10, 4), ("1", 3, 3), ("2", 10, 1), ("4", 10, 1)):
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-            assert cli._member_workers(members) == workers
+            assert cli._fork_workers(members) == workers
         monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-        assert cli._member_workers(10) == 1  # OpenBLAS's default: a thread per core
+        assert cli._fork_workers(10) == 1  # OpenBLAS's default: a thread per core
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert cli._member_workers(10) == 4
+        assert cli._fork_workers(10) == 4
 
     def test_failed_first_member_kills_workers_at_once(self, tmp_path, capsys, monkeypatch):
         # Member 0 fails in this process: no forked member can fail lower,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import force_member_workers
 from jsonfuzz import json_values
 from spectro_reference import ref_quantize, ref_resize, ref_stft_magnitude
 from gnssfsl import cli, spectro
@@ -184,6 +185,7 @@ class TestMatchesReference:
         monkeypatch.setattr(spectro, "stft_magnitude", checked_stft)
         monkeypatch.setattr(spectro, "quantize", checked_quantize)
         monkeypatch.setattr(spectro, "resize", checked_resize)
+        force_member_workers(monkeypatch, 1)  # a forked worker's records are not counted here
         corpus = cli.generate_corpus(tmp_path, profile="desk", seed=seed)
         assert quantized == len(corpus)
         assert corpus.classes() == list(range(11))
