@@ -468,6 +468,9 @@ class TrainConfig:
             raise ValueError(f"decay must be >= 0, got {self.decay}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            # numpy's generators refuse negative seeds, but only once training starts.
+            raise ValueError(f"config field 'seed' must be >= 0, got {self.seed}")
         for name in _STEP_COUNTS:
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name!r} must be >= 1, got {getattr(self, name)}")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import force_member_workers
 from jsonfuzz import json_values
 from gnssfsl import cli, fsl, nncore, siggen, spectro, uncertainty
-from gnssfsl.cli import class_counts, identity_hash
+from gnssfsl.cli import identity_hash
 from gnssfsl.spectro import load_corpus
 
 
@@ -109,54 +109,6 @@ class TestFlagSurface:
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
-
-
-class TestClassCounts:
-    def test_desk_profile_floors_rare_classes(self):
-        counts = class_counts("desk")
-        assert counts[6] == 8  # rarest class floored to the minimum
-        for c in (3, 4, 5, 7, 8, 9, 10):
-            assert counts[c] == 8
-        assert counts[1] > 1000  # dominant class keeps its share
-
-    def test_paper_profile_full_counts(self):
-        counts = class_counts("paper")
-        assert counts[1] == 132974
-        assert counts[6] == 9
-
-    def test_total_scales_corpus(self, monkeypatch):
-        monkeypatch.setitem(cli.PROFILES["desk"], "total", 4000)
-        counts = class_counts("desk")
-        assert 2600 < counts[1] < 2800  # ~67% share of the field distribution
-        assert counts[6] == 8
-
-
-class TestSynthesizeRecord:
-    def test_paper_profile_single_record(self):
-        # same code path as the desk profile, hardware-scale parameters
-        prof = cli.PROFILES["paper"]
-        img, params = cli.synthesize_record(
-            8, record_seed=123, duration_ms=prof["duration_ms"],
-            sample_rate_hz=prof["sample_rate_hz"], window=prof["window"],
-            hop=prof["hop"], image_size=prof["image_size"],
-        )
-        assert img.pixels.shape == (128, 128)
-        assert params["kind"] == "chirp"
-
-    def test_every_class_synthesizes(self):
-        for label in range(11):
-            img, params = cli.synthesize_record(
-                label, record_seed=55, duration_ms=2.0, sample_rate_hz=1e6,
-                window=256, hop=64, image_size=32,
-            )
-            assert img.pixels.shape == (32, 32)
-            if label >= 3:
-                assert "jnr_db" in params
-
-    def test_record_is_pure_function_of_seed(self):
-        a, _ = cli.synthesize_record(9, 77, 2.0, 1e6, 256, 64, 32)
-        b, _ = cli.synthesize_record(9, 77, 2.0, 1e6, 256, 64, 32)
-        assert np.array_equal(a.pixels, b.pixels)
 
 
 class TestGenData:
@@ -286,6 +238,15 @@ class TestGenData:
         assert not out.exists()
         with pytest.raises(ValueError, match=r"outside 0-10: \[-1\]"):
             cli.generate_corpus(out, counts={-1: 8, 0: 8})
+        assert not out.exists()
+
+    def test_negative_seed_rejected_before_synthesis(self, tmp_path, capsys, monkeypatch):
+        # numpy would refuse it only after every record was synthesized.
+        monkeypatch.setattr(cli, "synthesize_record", lambda *args: pytest.fail("synthesized"))
+        out = tmp_path / "run"
+        assert cli.main(["gen-data", "--out", str(out), "--seed", "-1"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "seed must be >= 0, got -1"}
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--counts", '{"0": 100000000000}')])
@@ -784,6 +745,46 @@ class TestStageErrors:
             assert err["checkpoint"] == str(rescue)
             assert rescue.exists()
             assert (run / "run_manifest.json").read_bytes() == manifest
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"embed_dim": 10**12}, {"loss": "quadruplet", "pair_batch": 10**12}],
+        ids=["network", "pair-batch"],
+    )
+    def test_config_too_large_for_memory_keeps_error_contract(
+        self, tmp_path, capsys, overrides
+    ):
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
+        cfg = quick_config_file(tmp_path, **overrides)
+        manifest = (tmp_path / "run_manifest.json").read_bytes()
+        capsys.readouterr()
+        assert cli.main(["train", "--run", str(tmp_path), "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MemoryError" and "Unable to allocate" in err["message"]
+        assert not (tmp_path / "checkpoints").exists()
+        assert (tmp_path / "run_manifest.json").read_bytes() == manifest
+
+    def test_forked_member_out_of_memory_keeps_error_contract(self, tmp_path, capsys, monkeypatch):
+        # Member 0 trains here; member 1's MemoryError comes back through its pipe.
+        force_member_workers(monkeypatch, 2)
+        real, parent = fsl.train, os.getpid()
+
+        def train(corpus, config, **kwargs):
+            if os.getpid() != parent:
+                config = fsl.replace(config, embed_dim=10**12)
+            return real(corpus, config, **kwargs)
+
+        monkeypatch.setattr(fsl, "train", train)
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
+        cfg = quick_config_file(tmp_path)
+        manifest = (tmp_path / "run_manifest.json").read_bytes()
+        capsys.readouterr()
+        rc = cli.main(["ensemble", "--run", str(tmp_path), "--config", str(cfg), "--members", "2"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MemoryError" and "Unable to allocate" in err["message"]
+        assert (tmp_path / "checkpoints" / "ensemble_00.gnssnet").exists()
+        assert (tmp_path / "run_manifest.json").read_bytes() == manifest
 
     def test_forked_members_are_byte_identical_to_serial(self, tmp_path, monkeypatch):
         # Member i depends only on seed + i, so the process that trains it

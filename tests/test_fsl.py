@@ -630,6 +630,7 @@ class TestConfig:
             TrainConfig(loss="contrastive")
         for bad in (
             {"lr": 0.0}, {"lr": -1.0}, {"decay": -0.1}, {"pair_weight": 0.0}, {"pair_weight": -1.0},
+            {"seed": -3},
             # A repeated class counts twice in the adaptation macro scores.
             {"adaptation_classes": ()}, {"adaptation_classes": (3, 3, 7, 9, 10)},
         ):
