@@ -466,7 +466,7 @@ def _load_ensemble(run_dir: Path, corpus: spectro.LabeledCorpus) -> tuple[list, 
         raise StageError("missing upstream artifact: ensemble checkpoints (run ensemble first)",
                          file=str(run_dir / "checkpoints"))
     config = TrainConfig.from_dict(jsondoc.expect(entry.get("config"), "ensemble config"))
-    train_classes = sorted(set(corpus.classes()) - set(config.adaptation_classes))
+    train_classes = fsl.base_classes(corpus, config.adaptation_classes)
     artifacts = entry.get("artifacts", {})
     if not artifacts:
         raise ValueError("ensemble needs at least one member")
@@ -487,45 +487,37 @@ def cmd_mine(args) -> None:
     t0 = time.perf_counter()
     run_dir = Path(args.run)
     corpus = _load_run_corpus(run_dir)
-    members, train_classes = _load_ensemble(run_dir, corpus)
-    val = corpus.subset(split="val", classes=set(train_classes))
-    remap = {c: i for i, c in enumerate(train_classes)}
+    members, classes = _load_ensemble(run_dir, corpus)
+    val = corpus.subset(split="val", classes=set(classes))
     images = [r.image.pixels for r in val.records]
+    labels = val.labels()
     # One forward pass per member; the map and the CSV share its decomposition.
     member_probs = np.stack(_fork_map(
         lambda i: uncertainty.predict_member(members[i], images), len(members), "mine"
     ))
     report = uncertainty.decompose_uncertainty(member_probs)
-    sim_map = fsl.build_similarity_map(
-        report, [remap[r.label] for r in val.records], quantile=args.quantile
-    )
-    # Map head-index classes back to corpus labels.
-    inverse = {i: c for c, i in remap.items()}
-    sim_map = SimilarityMap(
-        {inverse[c]: [inverse[x] for x in v] for c, v in sim_map.ranked.items()}
-    )
+    sim_map = fsl.build_similarity_map(report, labels, classes)
     (run_dir / "similarity_map.json").write_text(sim_map.to_json() + "\n")
 
-    predicted = [inverse[int(i)] for i in np.argmax(report.mean_softmax, axis=1)]
     uncertainty.write_uncertainty_csv(
         _subdir(run_dir, "reports") / "uncertainty.csv",
         [r.file for r in val.records],
-        [r.label for r in val.records],
-        predicted,
+        labels,
+        np.asarray(classes)[np.argmax(report.mean_softmax, axis=1)],
         report,
     )
     _append_stage(
         run_dir, "mine", t0,
         {"similarity_map": "similarity_map.json", "uncertainty": "reports/uncertainty.csv"},
-        quantile=args.quantile,
+        quantile=fsl.SIMILAR_QUANTILE,
     )
     print(f"similarity map written to {run_dir / 'similarity_map.json'}")
 
 
 def _classifier(net, corpus: spectro.LabeledCorpus, adaptation_classes, k: int):
-    """Prototypes of the base classes (20 train images each) plus k-shot
-    prototypes of the adaptation classes; the backbone never updates."""
-    base_classes = sorted(set(corpus.classes()) - set(adaptation_classes))
+    """Prototypes of the base classes (fsl.BASE_SHOTS train images each) plus
+    k-shot prototypes of the adaptation classes; the backbone never updates."""
+    base_classes = fsl.base_classes(corpus, adaptation_classes)
     base = fsl.compute_prototypes(net, fsl.base_support(corpus, base_classes))
     support = fsl.adaptation_support(corpus, adaptation_classes, k)
     return fsl.adapt(net, support, k, base=base)
@@ -535,9 +527,9 @@ def _adaptation_scores(classifier, corpus: spectro.LabeledCorpus, adaptation_cla
     """(macro accuracy, macro F2, confusion matrix) over the adaptation classes.
 
     Queries are the val+test images of the adaptation classes, each classified
-    nearest-prototype among all prototypes, base classes included.
+    nearest-prototype among all prototypes, base classes included. The classes
+    come ascending, as TrainConfig stores them.
     """
-    adaptation_classes = sorted(adaptation_classes)
     queries, truth = [], []
     for split in ("val", "test"):
         sub = corpus.subset(split=split, classes=set(adaptation_classes))
@@ -622,7 +614,7 @@ def cmd_embed(args) -> None:
     test = corpus.subset(split="test")
     images = [r.image.pixels for r in test.records]
     emb = net.infer(images)
-    perplexity = min(args.perplexity, (len(images) - 1) / 3.0 - 1e-9)
+    perplexity = min(metrics.TSNE_PERPLEXITY, (len(images) - 1) / 3.0 - 1e-9)
     points = metrics.tsne(emb, perplexity=perplexity, iters=args.iters, seed=config.seed)
     out = _subdir(run_dir, "reports") / f"tsne_{name}.csv"
     metrics.write_points_csv(out, points, test.labels())
@@ -676,7 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="build the similar-class map from ensemble uncertainty")
     _add_common(p)
-    p.add_argument("--quantile", type=float, default=0.75)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("adapt", help="build prototypes for the held-out classes")
@@ -689,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="t-SNE projection of test embeddings")
     _add_common(p, "--config", "--name", "--force")
-    p.add_argument("--perplexity", type=float, default=30.0)
     p.add_argument("--iters", type=int, default=500)
     p.set_defaults(func=cmd_embed)
 

@@ -29,13 +29,13 @@ from .nncore import (
     softmax_backward,
     softmax_normalize,
 )
-from .spectro import LabeledCorpus
+from .spectro import SPLITS, LabeledCorpus
 from .uncertainty import UncertaintyReport
 from .uncertainty import predict_member  # noqa: F401  (re-export; perfbench/test_tracer.py uses it)
 
-SPLITS = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.64, 0.16, 0.20)  # of each class, in SPLITS order
 DEFAULT_ADAPTATION_CLASSES = (3, 7, 9, 10)
+BASE_SHOTS = 20  # train-split images behind each base-class prototype
 
 
 class TrainingDiverged(RuntimeError):
@@ -90,6 +90,12 @@ def split_corpus(corpus: LabeledCorpus, seed: int = 0) -> LabeledCorpus:
 
     records = [replace(rec, split=assignment[i]) for i, rec in enumerate(corpus.records)]
     return LabeledCorpus(records)
+
+
+def base_classes(corpus: LabeledCorpus, adaptation_classes) -> list[int]:
+    """The corpus classes outside `adaptation_classes`, ascending: the classes
+    training sees, and the order in which a classifier head scores them."""
+    return sorted(set(corpus.classes()) - set(adaptation_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -285,29 +291,29 @@ def load_fixture_map() -> SimilarityMap:
 
 # Ordered pairs whose mean epistemic trace is at or below this floor are never similar.
 MIN_STAT = 1e-6
+# Per anchor class, the quantile of its pair statistics a similar class must reach.
+SIMILAR_QUANTILE = 0.75
 
 
-def build_similarity_map(
-    report: UncertaintyReport,
-    labels,
-    quantile: float = 0.75,
-) -> SimilarityMap:
-    """Rank confusable class pairs by mean epistemic trace.
+def build_similarity_map(report: UncertaintyReport, labels, classes) -> SimilarityMap:
+    """Rank confusable class pairs by mean epistemic trace, in corpus labels.
 
     `report` decomposes the ensemble's (M, N, K) member probabilities over N
-    validation samples whose head-index labels are `labels`. For an ordered
-    pair (c, c'), the statistic is the mean epistemic trace over class-c
-    samples whose ensemble-mean prediction puts c' in its top-2. Pairs must
-    clear both the absolute floor MIN_STAT and the per-class quantile threshold.
+    validation samples whose corpus labels are `labels`; head output i scores
+    `classes[i]` (ascending, as base_classes gives them). For an ordered pair
+    (c, c'), the statistic is the mean epistemic trace over class-c samples
+    whose ensemble-mean prediction puts c' in its top-2. Pairs must clear both
+    the absolute floor MIN_STAT and the per-class SIMILAR_QUANTILE threshold.
     """
-    # Checked here, not left to np.quantile: when no class clears MIN_STAT,
-    # np.quantile never runs.
-    if not 0.0 <= quantile <= 1.0:  # also false for NaN
-        raise ValueError(f"quantile must lie in [0, 1], got {quantile}")
-    labels = np.asarray(labels, dtype=np.int64)
+    head = {c: i for i, c in enumerate(classes)}
+    labels = np.array([head[c] for c in labels], dtype=np.int64)
     if labels.size == 0:
         raise ValueError("empty validation set")
-    k = report.mean_softmax.shape[-1]
+    present = set(labels.tolist())
+    missing = [c for c, i in head.items() if i not in present]
+    if missing:
+        warnings.warn(f"classes absent from validation data: {missing}")
+    k = len(classes)
 
     # np.add.at adds in sample order, so each (c, c') sum equals a per-sample loop's.
     top2 = np.argsort(-report.mean_softmax, axis=1, kind="stable")[:, :2]
@@ -320,11 +326,6 @@ def build_similarity_map(
     np.add.at(sums, (rows[other], cols[other]), traces[other])
     np.add.at(counts, (rows[other], cols[other]), 1)
 
-    present = set(labels.tolist())
-    missing = set(range(k)) - present
-    if missing:
-        warnings.warn(f"classes absent from validation data: {sorted(missing)}")
-
     ranked = {}
     for c in sorted(present):
         stats = {
@@ -335,13 +336,13 @@ def build_similarity_map(
         values = [v for v in stats.values() if v > MIN_STAT]
         if not values:
             continue
-        threshold = float(np.quantile(values, quantile))
+        threshold = float(np.quantile(values, SIMILAR_QUANTILE))
         chosen = [
             (v, cp) for cp, v in stats.items() if v > MIN_STAT and v >= threshold
         ]
         chosen.sort(key=lambda t: (-t[0], t[1]))
         if chosen:
-            ranked[int(c)] = [int(cp) for _, cp in chosen]
+            ranked[int(classes[c])] = [int(classes[cp]) for _, cp in chosen]
     return SimilarityMap(ranked)
 
 
@@ -481,6 +482,8 @@ class TrainConfig:
                 f"config field 'adaptation_classes' must name at least one class, "
                 f"each once, got {list(classes)}"
             )
+        # A set: the same classes in another order are the same config.
+        self.adaptation_classes = tuple(sorted(classes))
 
     def to_dict(self) -> dict:
         """The config's JSON object, keys sorted, the pair weight named "lambda"."""
@@ -585,8 +588,8 @@ def train(
     sim_map: Optional[SimilarityMap] = None,
     epoch_callback=None,
 ) -> TrainResult:
-    """Pre-train a backbone on the non-adaptation classes of the train split."""
-    train_classes = [c for c in corpus.classes() if c not in set(config.adaptation_classes)]
+    """Pre-train a backbone on the base classes of the train split."""
+    train_classes = base_classes(corpus, config.adaptation_classes)
     if len(train_classes) < 2:
         raise ValueError("need at least 2 training classes")
     train_corpus = corpus.subset(split="train", classes=set(train_classes))
@@ -604,7 +607,7 @@ def train(
     shape = train_corpus.records[0].image.pixels.shape
     net = init(config.arch(shape, num_classes=len(train_classes) if use_head else None), config.seed)
     decay_mask = net.decay_mask()
-    label_of = {c: i for i, c in enumerate(sorted(train_classes))}
+    label_of = {c: i for i, c in enumerate(train_classes)}
 
     k = min(config.episode_k_shot, min(len(v) for v in by_class.values()))
     epoch_losses = []
@@ -636,7 +639,7 @@ def train(
         epoch_losses.append(float(np.mean(step_losses)))
         if epoch_callback is not None:
             epoch_callback(epoch, net)
-    return TrainResult(net, epoch_losses, sorted(train_classes))
+    return TrainResult(net, epoch_losses, train_classes)
 
 
 def _epoch_steps(use_head, train_corpus, config, rng):
@@ -663,12 +666,12 @@ def _ce_batch(net, train_corpus, sel, label_of):
 # ---------------------------------------------------------------------------
 
 
-def base_support(corpus: LabeledCorpus, classes, per_class: int = 20) -> dict:
-    """First-n train-split images per base class, for prototype building."""
+def base_support(corpus: LabeledCorpus, classes) -> dict:
+    """First BASE_SHOTS train-split images per base class, for prototype building."""
     sub = corpus.subset(split="train", classes=set(classes))
     by_class = _class_index(sub)
     return {
-        c: [sub.records[i].image.pixels for i in idx[:per_class]]
+        c: [sub.records[i].image.pixels for i in idx[:BASE_SHOTS]]
         for c, idx in sorted(by_class.items())
     }
 

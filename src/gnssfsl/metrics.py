@@ -175,7 +175,8 @@ class TsneResult:
 
 
 # The classic optimizer schedule: momentum 0.5 until iteration 250, then 0.8;
-# affinities exaggerated 4x for the first 100 iterations.
+# affinities exaggerated 4x for the first 100 iterations; perplexity 30.
+TSNE_PERPLEXITY = 30.0
 TSNE_LEARNING_RATE = 200.0
 TSNE_MOMENTUM = (0.5, 0.8)
 TSNE_MOMENTUM_SWITCH_ITER = 250
@@ -198,7 +199,7 @@ def _row_blocks(n: int) -> list:
 
 def tsne(
     embeddings: np.ndarray,
-    perplexity: float = 30.0,
+    perplexity: float = TSNE_PERPLEXITY,
     iters: int = 1000,
     seed: int = 0,
     return_info: bool = False,

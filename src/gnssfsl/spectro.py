@@ -25,6 +25,7 @@ from .siggen import IQSnapshot
 DB_FLOOR = -90.0
 BLOCK_MAGIC = b"GNSSBLK1"
 BLOCK_FILE = "images.img"  # next to the corpus manifest
+SPLITS = ("train", "val", "test")  # a manifest entry's 'split'
 _BLOCK_HEADER = struct.Struct("<8sIII")  # magic, n, h, w
 
 
@@ -237,13 +238,13 @@ def load_corpus(manifest_path: str | Path) -> LabeledCorpus:
             isinstance(e, dict)
             and isinstance(e.get("file"), str)
             and type(e.get("label")) is int  # JSON true/false are bool, not int
-            and isinstance(e.get("split"), str)
+            and e.get("split") in SPLITS
             and type(e.get("seed")) is int
             and isinstance(e.get("jammer_params", {}), dict)
         ):
             raise ValueError(
-                f"{manifest_path}: entry {i} must be an object with str 'file', int "
-                "'label', str 'split', int 'seed' and an optional 'jammer_params' object"
+                f"{manifest_path}: entry {i} must be an object with str 'file', int 'label', "
+                f"'split' one of {'/'.join(SPLITS)}, int 'seed' and an optional 'jammer_params' object"
             )
         records.append(
             CorpusRecord(e["file"], e["label"], e["split"], e["seed"], e.get("jammer_params", {}))

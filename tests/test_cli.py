@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import force_member_workers
 from jsonfuzz import json_values
-from gnssfsl import cli, fsl, nncore, siggen, spectro, uncertainty
+from gnssfsl import cli, fsl, metrics, nncore, siggen, spectro, uncertainty
 from gnssfsl.cli import identity_hash
 from gnssfsl.spectro import load_corpus
 
@@ -77,10 +77,10 @@ STAGE_OPTIONS = {
     "gen-data": ["--counts", "--out", "--profile", "--seed"],
     "train": ["--config", "--name", "--run"],
     "ensemble": ["--config", "--members", "--run"],
-    "mine": ["--quantile", "--run"],
+    "mine": ["--run"],
     "adapt": ["--config", "--force", "--name", "--run"],
     "eval": ["--config", "--force", "--name", "--run"],
-    "embed": ["--config", "--force", "--iters", "--name", "--perplexity", "--run"],
+    "embed": ["--config", "--force", "--iters", "--name", "--run"],
 }
 
 
@@ -409,6 +409,18 @@ class TestStageErrors:
         rc = cli.main(["eval", "--run", str(run), "--config", str(other), "--force"])
         assert rc == 0
 
+    def test_adaptation_classes_in_another_order_match(self, pipeline_run, tmp_path):
+        # The classes are a set: eval with [5, 3] reads the checkpoint trained with [3, 5].
+        src, cfg_ce, _ = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(src, run)
+        doc = json.loads(cfg_ce.read_text())
+        for command, classes in (("train", [3, 5]), ("eval", [5, 3])):
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps({**doc, "adaptation_classes": classes}))
+            argv = [command, "--run", str(run), "--config", str(cfg), "--name", "m"]
+            assert cli.main(argv) == 0, command
+
     def test_identity_check_matches_exact_checkpoint_name(self, pipeline_run, tmp_path, capsys):
         # "face.gnssnet" ends with "ce.gnssnet": only ce's own entry may be checked.
         src, cfg_ce, _ = pipeline_run
@@ -581,8 +593,9 @@ class TestStageErrors:
             {"a": 1},
             [1, 2],
             [{"file": 5, "label": 1, "split": "test", "seed": 3}],
+            [{"file": "a.img", "label": 1, "split": "tset", "seed": 3}],
         ],
-        ids=["no-file", "object", "ints", "file-type"],
+        ids=["no-file", "object", "ints", "file-type", "split-name"],
     )
     def test_malformed_corpus_manifest_exits_with_json_error(self, tmp_path, capsys, doc):
         (tmp_path / "corpus").mkdir()
@@ -974,24 +987,6 @@ class TestStageErrors:
         stages = json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
         assert [e["stage"] for e in stages] == ["gen-data"]
 
-    def test_mine_rejects_quantile_outside_unit_interval(self, tmp_path, capsys):
-        # A one-member ensemble has every epistemic trace 0, so no class
-        # clears the floor and np.quantile would never check the quantile.
-        assert cli.main(["gen-data", "--out", str(tmp_path), "--counts", TINY_COUNTS]) == 0
-        cfg = quick_config_file(tmp_path)
-        argv = ["ensemble", "--run", str(tmp_path), "--config", str(cfg), "--members", "1"]
-        assert cli.main(argv) == 0
-        manifest = (tmp_path / "run_manifest.json").read_bytes()
-        for quantile in ("5", "nan"):
-            capsys.readouterr()
-            rc = cli.main(["mine", "--run", str(tmp_path), "--quantile", quantile])
-            assert rc == 1
-            err = json.loads(capsys.readouterr().err)
-            assert err["error"] == "ValueError"
-            assert "quantile" in err["message"]
-            assert not (tmp_path / "similarity_map.json").exists()
-            assert (tmp_path / "run_manifest.json").read_bytes() == manifest
-
     @pytest.mark.parametrize("iters", ["0", "-5"])
     def test_embed_without_iterations_rejected(self, pipeline_run, tmp_path, capsys, iters):
         src, cfg_ce, _ = pipeline_run
@@ -1008,22 +1003,31 @@ class TestStageErrors:
         assert (run / "reports" / "tsne_ce.csv").read_bytes() == before
         assert (run / "run_manifest.json").read_bytes() == manifest
 
-    @pytest.mark.parametrize("requested, clamped", [("5", False), ("1e9", True)])
+    @pytest.mark.parametrize(
+        "per_class, capped", [(None, True), (45, False)], ids=["capped", "uncapped"]
+    )
     def test_embed_records_effective_settings(
-        self, pipeline_run, tmp_path, requested, clamped
+        self, pipeline_run, tmp_path, per_class, capped
     ):
+        # Perplexity is metrics.TSNE_PERPLEXITY capped just below (n - 1) / 3
+        # for n test images: the shared run has 22, and 45 per class give 99.
         src, cfg_ce, _ = pipeline_run
         run = tmp_path / "run"
-        shutil.copytree(src, run)
+        if per_class is None:
+            shutil.copytree(src, run)
+        else:
+            counts = json.dumps({str(c): per_class for c in range(11)})
+            assert cli.main(["gen-data", "--out", str(run), "--counts", counts]) == 0
+            assert cli.main(["train", "--run", str(run), "--config", str(cfg_ce)]) == 0
         argv = ["embed", "--run", str(run), "--config", str(cfg_ce), "--iters", "20"]
-        assert cli.main(argv + ["--perplexity", requested]) == 0
+        assert cli.main(argv) == 0
         entry = json.loads((run / "run_manifest.json").read_text())["stages"][-1]
         assert entry["stage"] == "embed:ce"
         assert entry["iters"] == 20
         n = len(load_corpus(run / "corpus" / "manifest.json").subset(split="test").records)
         cap = (n - 1) / 3.0 - 1e-9
-        assert entry["perplexity"] == (cap if clamped else 5.0)
-        assert (entry["perplexity"] < float(requested)) is clamped
+        assert (cap < metrics.TSNE_PERPLEXITY) is capped
+        assert entry["perplexity"] == (cap if capped else metrics.TSNE_PERPLEXITY)
 
     @pytest.mark.parametrize(
         "command, extra", [("adapt", []), ("eval", []), ("embed", ["--iters", "50"])]

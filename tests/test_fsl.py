@@ -245,10 +245,11 @@ class TestSimilarityMap:
             assert type(c) is int and all(type(x) is int for x in others)
 
     @staticmethod
-    def _mine(members, data):
+    def _mine(members, data, classes=None):
         images = [img for img, _ in data]
         probs = np.stack([predict_member(m, images) for m in members])
-        return build_similarity_map(decompose_uncertainty(probs), [lbl for _, lbl in data])
+        classes = classes or list(range(members[0].config.num_classes))
+        return build_similarity_map(decompose_uncertainty(probs), [lbl for _, lbl in data], classes)
 
     def test_zero_epistemic_gives_empty_map(self):
         # members agree perfectly and confidently: epistemic ~ 0 everywhere
@@ -261,20 +262,13 @@ class TestSimilarityMap:
             for _ in range(5)
         ]
         assert self._mine(members, data).ranked == {}
-
-    @pytest.mark.parametrize("quantile", [5.0, -0.1, float("nan")])
-    def test_quantile_outside_unit_interval_rejected_with_zero_traces(self, quantile):
-        # One member: every epistemic trace is 0, so no class clears
-        # fsl.MIN_STAT and np.quantile never sees the quantile.
+        # One member, however unsure: every epistemic trace is 0, so no class
+        # clears fsl.MIN_STAT.
         rng = np.random.default_rng(4)
         raw = rng.gamma(0.5, size=(1, 12, 3))
-        probs = raw / raw.sum(axis=2, keepdims=True)
-        report = decompose_uncertainty(probs)
+        report = decompose_uncertainty(raw / raw.sum(axis=2, keepdims=True))
         assert np.all(report.epistemic_trace == 0.0)
-        labels = np.arange(12) % 3
-        assert build_similarity_map(report, labels, quantile=1.0).ranked == {}
-        with pytest.raises(ValueError, match="quantile"):
-            build_similarity_map(report, labels, quantile=quantile)
+        assert build_similarity_map(report, np.arange(12) % 3, [0, 1, 2]).ranked == {}
 
     def test_shuffle_invariance(self):
         cfg = ArchConfig(height=8, width=8, conv_channels=(2,), embed_dim=4, num_classes=3)
@@ -293,17 +287,18 @@ class TestSimilarityMap:
         cfg = ArchConfig(height=8, width=8, conv_channels=(2,), embed_dim=4, num_classes=4)
         members = [init(cfg, seed=s) for s in (1, 2)]
         rng = np.random.default_rng(2)
-        data = [(rng.integers(0, 256, size=(8, 8)).astype(np.uint8), 0) for _ in range(4)]
-        with pytest.warns(UserWarning, match="absent"):
-            self._mine(members, data)
+        data = [(rng.integers(0, 256, size=(8, 8)).astype(np.uint8), 2) for _ in range(4)]
+        # Named by corpus label, not by head index.
+        with pytest.warns(UserWarning, match=r"absent from validation data: \[5, 6, 9\]"):
+            self._mine(members, data, classes=[2, 5, 6, 9])
 
-    def test_matches_per_sample_loop(self):
+    def test_matches_per_sample_loop(self, monkeypatch):
         """Vectorized accumulation equals the per-sample reference loop."""
         rng = np.random.default_rng(3)
         t, n, k = 4, 60, 5
         raw = rng.gamma(0.5, size=(t, n, k))
         probs = raw / raw.sum(axis=2, keepdims=True)
-        labels = rng.integers(k, size=n)
+        labels = rng.integers(k, size=n)  # head indices
         sums = np.zeros((k, k))
         counts = np.zeros((k, k), dtype=np.int64)
         for i in range(n):
@@ -313,16 +308,30 @@ class TestSimilarityMap:
                 if cp != labels[i]:
                     sums[labels[i], cp] += rep.epistemic_trace
                     counts[labels[i], cp] += 1
-        expected = {}
-        for c in range(k):
-            stats = {cp: sums[c, cp] / counts[c, cp] for cp in range(k) if counts[c, cp]}
-            values = [v for v in stats.values() if v > 1e-6]
-            if values:
-                threshold = float(np.quantile(values, 0.5))
-                chosen = sorted((-v, cp) for cp, v in stats.items() if v > 1e-6 and v >= threshold)
-                expected[c] = [cp for _, cp in chosen]
-        got = build_similarity_map(decompose_uncertainty(probs), labels, quantile=0.5)
-        assert got.ranked == expected
+        report = decompose_uncertainty(probs)
+        longest = 0
+        # At 0.5 several classes clear the threshold, so their (-stat, class)
+        # order is checked too; at SIMILAR_QUANTILE most lists hold one class.
+        for quantile in (0.5, fsl.SIMILAR_QUANTILE):
+            monkeypatch.setattr(fsl, "SIMILAR_QUANTILE", quantile)
+            expected = {}  # in head indices
+            for c in range(k):
+                stats = {cp: sums[c, cp] / counts[c, cp] for cp in range(k) if counts[c, cp]}
+                values = [v for v in stats.values() if v > 1e-6]
+                if values:
+                    threshold = float(np.quantile(values, quantile))
+                    chosen = sorted(
+                        (-v, cp) for cp, v in stats.items() if v > 1e-6 and v >= threshold
+                    )
+                    expected[c] = [cp for _, cp in chosen]
+            longest = max(longest, *(len(v) for v in expected.values()))
+            # Head output i scores corpus class classes[i]; labels and map are corpus labels.
+            for classes in ([0, 1, 2, 3, 4], [0, 2, 4, 5, 6]):
+                got = build_similarity_map(report, [classes[i] for i in labels], classes)
+                assert got.ranked == {
+                    classes[c]: [classes[cp] for cp in v] for c, v in expected.items()
+                }
+        assert longest > 1
 
 
 class TestQuadrupletSampling:
@@ -433,7 +442,11 @@ class TestTrain:
 
     def test_adaptation_classes_excluded(self, tiny_corpus, quick_config):
         result = train(tiny_corpus, quick_config)
-        assert set(result.train_classes) == set(range(11)) - {3, 7, 9, 10}
+        assert result.train_classes == [0, 1, 2, 4, 5, 6, 8]
+
+    def test_base_classes_are_corpus_classes_outside_adaptation_ascending(self):
+        corpus = toy_corpus({9: 2, 0: 2, 4: 2, 6: 2})
+        assert fsl.base_classes(corpus, (6, 1)) == [0, 4, 9]
 
 
 class TestPairwiseStepGradient:
@@ -666,6 +679,13 @@ class TestConfig:
     def test_malformed_document_raises_value_error(self, text):
         with pytest.raises(ValueError):
             TrainConfig.from_json(text)
+
+    def test_adaptation_classes_stored_ascending(self):
+        # A set of classes: any order names the same config and identity hash.
+        cfg = TrainConfig(adaptation_classes=(10, 3))
+        assert cfg.adaptation_classes == (3, 10)
+        assert TrainConfig.from_json('{"adaptation_classes": [10, 3]}') == cfg
+        assert cfg.to_dict()["adaptation_classes"] == [3, 10]
 
     def test_ints_accepted_for_float_fields(self):
         assert TrainConfig.from_json('{"alpha": 3, "lr": 1}').alpha == 3

@@ -392,14 +392,28 @@ class TestManifest:
             [{"file": "a.img", "label": True, "split": "test", "seed": 3}],
             [{"file": "a.img", "label": 1.0, "split": "test", "seed": 3}],
             [{"file": "a.img", "label": 1, "split": "test", "seed": 3, "jammer_params": []}],
+            # A split no stage reads would drop the record from every stage.
+            [{"file": "a.img", "label": 1, "split": "test", "seed": 3},
+             {"file": "b.img", "label": 1, "split": "tset", "seed": 4}],
         ],
-        ids=["no-file", "object", "ints", "file-type", "bool-label", "float-label", "params"],
+        ids=[
+            "no-file", "object", "ints", "file-type", "bool-label", "float-label", "params",
+            "split-name",
+        ],
     )
     def test_malformed_manifest_rejected(self, tmp_path, doc):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="manifest"):
             load_corpus(path)
+
+    def test_unknown_split_rejected_naming_entry(self, tmp_path):
+        manifest = self._write_corpus(tmp_path)
+        entries = json.loads(manifest.read_text())
+        entries[2]["split"] = "tset"
+        manifest.write_text(json.dumps(entries))
+        with pytest.raises(ValueError, match="entry 2 .*'split' one of train/val/test"):
+            load_corpus(manifest)
 
     @given(
         doc=st.one_of(
